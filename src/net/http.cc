@@ -67,8 +67,11 @@ uint16_t HttpServer::listen(uint16_t port) {
   }
   socklen_t len = sizeof(addr);
   getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  if (!loop_.add_fd(fd, EPOLLIN, [this](uint32_t ev) { on_accept(ev); })) {
+    close(fd);
+    return 0;
+  }
   listen_fd_ = fd;
-  loop_.add_fd(fd, EPOLLIN, [this](uint32_t ev) { on_accept(ev); });
   return ntohs(addr.sin_port);
 }
 
@@ -83,12 +86,15 @@ void HttpServer::on_accept(uint32_t) {
     int one = 1;
     setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     uint64_t cid = next_conn_id_++;
+    if (!loop_.add_fd(cfd, EPOLLIN,
+                      [this, cid](uint32_t ev) { on_conn_io(cid, ev); })) {
+      close(cfd);
+      continue;
+    }
     auto conn = std::make_unique<Conn>();
     conn->id = cid;
     conn->fd = cfd;
     conns_[cid] = std::move(conn);
-    loop_.add_fd(cfd, EPOLLIN,
-                 [this, cid](uint32_t ev) { on_conn_io(cid, ev); });
   }
 }
 

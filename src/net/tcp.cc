@@ -137,8 +137,11 @@ uint16_t TcpTransport::listen_for(PeerId id, uint16_t port,
   uint16_t bound = ntohs(addr.sin_port);
 
   size_t idx = listeners_.size();
+  if (!loop_.add_fd(fd, EPOLLIN, [this, idx](uint32_t) { on_accept(idx); })) {
+    close(fd);
+    return 0;
+  }
   listeners_.push_back(Listener{fd, id});
-  loop_.add_fd(fd, EPOLLIN, [this, idx](uint32_t) { on_accept(idx); });
   return bound;
 }
 
@@ -153,13 +156,16 @@ void TcpTransport::on_accept(size_t listener_idx) {
     }
     set_nodelay(cfd);
     uint64_t cid = next_conn_id_++;
+    if (!loop_.add_fd(cfd, EPOLLIN,
+                      [this, cid](uint32_t ev) { on_inconn_io(cid, ev); })) {
+      close(cfd);  // never watched: drop it like a failed accept
+      continue;
+    }
     auto conn = std::make_unique<InConn>();
     conn->id = cid;
     conn->fd = cfd;
     conn->serves = l.serves;
     inconns_[cid] = std::move(conn);
-    loop_.add_fd(cfd, EPOLLIN,
-                 [this, cid](uint32_t ev) { on_inconn_io(cid, ev); });
     // Advertise our version range immediately; the peer does the same, and
     // both sides pin the connection version on receipt.
     wire::Hello hello;
@@ -330,12 +336,16 @@ void TcpTransport::start_connect(PeerId id) {
     schedule_reconnect(id);
     return;
   }
+  uint32_t mask = rc != 0 ? (EPOLLIN | EPOLLOUT)
+                          : static_cast<uint32_t>(EPOLLIN);
+  if (!loop_.add_fd(fd, mask, [this, id](uint32_t ev) { on_peer_io(id, ev); })) {
+    close(fd);  // never watched: a failed connect, retried with backoff
+    schedule_reconnect(id);
+    return;
+  }
   p.fd = fd;
   p.connected = false;
   p.connecting = (rc != 0);
-  uint32_t mask = p.connecting ? (EPOLLIN | EPOLLOUT)
-                               : static_cast<uint32_t>(EPOLLIN);
-  loop_.add_fd(fd, mask, [this, id](uint32_t ev) { on_peer_io(id, ev); });
   if (rc == 0) on_peer_connected(id);
 }
 

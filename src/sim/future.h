@@ -179,21 +179,30 @@ inline MainLaneAwaiter on_main_lane(Simulation& sim) {
 
 /// Awaits `f`, giving up after `timeout`.  Returns the value, or nullopt on
 /// timeout.  A late fulfilment after timeout is ignored safely.
+///
+/// The timeout event is always scheduled and always fires (the kernel has
+/// no cancellation, and event counts are part of the determinism goldens),
+/// but it holds only a small gate: settling drops the gate's promise, so a
+/// reply that arrived in time is freed as soon as the awaiting coroutine is
+/// done with it rather than when the timer fires.
 template <typename T>
 Task<std::optional<T>> await_with_timeout(Simulation& sim, Future<T> f,
                                           Duration timeout) {
+  struct Gate {
+    std::optional<Promise<std::optional<T>>> done;
+    /// Fulfils and drops the promise; later calls are no-ops.
+    void settle(std::optional<T> v) {
+      if (!done) return;
+      Promise<std::optional<T>> p = std::move(*done);
+      done.reset();
+      p.set_value(std::move(v));
+    }
+  };
   Promise<std::optional<T>> done(sim);
-  auto fired = std::make_shared<bool>(false);
-  f.on_value([done, fired](const T& v) {
-    if (*fired) return;
-    *fired = true;
-    done.set_value(v);
-  });
-  sim.schedule(timeout, [done, fired] {
-    if (*fired) return;
-    *fired = true;
-    done.set_value(std::nullopt);
-  });
+  auto gate = std::make_shared<Gate>();
+  gate->done.emplace(done);
+  f.on_value([gate](const T& v) { gate->settle(v); });
+  sim.schedule(timeout, [gate] { gate->settle(std::nullopt); });
   co_return co_await done.future();
 }
 
@@ -202,34 +211,40 @@ Task<std::optional<T>> await_with_timeout(Simulation& sim, Future<T> f,
 /// them is guaranteed).  Returns however many values arrived by then (in
 /// arrival order): size() >= want means the quorum was reached.  This is the
 /// primitive behind quorum reads/writes and consensus vote collection.
+///
+/// As in await_with_timeout, the timeout event outlives the wait but holds
+/// only the gate, which releases the promise and the gathered replies the
+/// moment the wait settles.
 template <typename T>
 Task<std::vector<T>> await_count(Simulation& sim, std::vector<Future<T>> fs,
                                  size_t want, Duration timeout) {
   struct Gather {
     std::vector<T> got;
-    bool done = false;
+    std::optional<Promise<std::vector<T>>> result;
+    /// Hands the replies to the promise and drops both; later calls are
+    /// no-ops.
+    void settle() {
+      if (!result) return;
+      Promise<std::vector<T>> p = std::move(*result);
+      result.reset();
+      p.set_value(std::exchange(got, {}));
+    }
   };
-  auto g = std::make_shared<Gather>();
   Promise<std::vector<T>> result(sim);
   if (want == 0 || fs.empty()) {
     result.set_value({});
   } else {
+    auto g = std::make_shared<Gather>();
+    g->result.emplace(result);
     for (auto& f : fs) {
-      f.on_value([g, want, result](const T& v) {
-        if (g->done) return;
+      f.on_value([g, want](const T& v) {
+        if (!g->result) return;
         g->got.push_back(v);
-        if (g->got.size() >= want) {
-          g->done = true;
-          result.set_value(g->got);
-        }
+        if (g->got.size() >= want) g->settle();
       });
     }
     if (timeout != kTimeNever) {
-      sim.schedule(timeout, [g, result] {
-        if (g->done) return;
-        g->done = true;
-        result.set_value(g->got);
-      });
+      sim.schedule(timeout, [g] { g->settle(); });
     }
   }
   co_return co_await result.future();

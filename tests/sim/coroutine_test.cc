@@ -203,6 +203,69 @@ TEST(AwaitCount, ZeroWantedResolvesImmediately) {
   EXPECT_TRUE(got.empty());
 }
 
+/// Payload that counts its live instances, to see who still holds a reply.
+struct Counted {
+  static inline int live = 0;
+  int v;
+  explicit Counted(int x) : v(x) { ++live; }
+  Counted(const Counted& o) : v(o.v) { ++live; }
+  Counted& operator=(const Counted&) = default;
+  ~Counted() { --live; }
+};
+
+// A settled wait frees its reply at once, not when its timeout fires: the
+// timeout event holds only a gate, not the result promise.  The timer is
+// still scheduled and still fires; the pinned event counts keep it so, as
+// the determinism goldens depend on them.
+TEST(SettleRelease, AwaitWithTimeoutFreesTheValueBeforeTheTimeout) {
+  Counted::live = 0;
+  Simulation s;
+  int got = 0;
+  {
+    Promise<Counted> p(s);
+    spawn(s, [](Simulation& sm, Future<Counted> f, int& g) -> Task<void> {
+      auto r = co_await await_with_timeout(sm, std::move(f), sec(1));
+      g = r ? r->v : -1;
+    }(s, p.future(), got));
+    s.schedule(100, [p] { p.set_value(Counted(7)); });
+  }
+  s.run_until(ms(10));
+  EXPECT_EQ(got, 7);
+  EXPECT_EQ(Counted::live, 0);
+  EXPECT_EQ(s.peek_next_event_at(), sec(1));  // the timer is still pending
+  s.run_until_idle();
+  EXPECT_EQ(s.now(), sec(1));
+  EXPECT_EQ(s.events_run(), 6u);
+  EXPECT_EQ(Counted::live, 0);
+}
+
+TEST(SettleRelease, AwaitCountFreesGatheredRepliesBeforeTheTimeout) {
+  Counted::live = 0;
+  Simulation s;
+  std::vector<int> got;
+  {
+    std::vector<Future<Counted>> fs;
+    for (int i = 0; i < 3; ++i) {
+      Promise<Counted> p(s);
+      fs.push_back(p.future());
+      s.schedule(100 * (i + 1), [p, i] { p.set_value(Counted(i)); });
+    }
+    spawn(s, [](Simulation& sm, std::vector<Future<Counted>> f,
+                std::vector<int>& g) -> Task<void> {
+      auto r = co_await await_count<Counted>(sm, std::move(f), 2, sec(1));
+      for (const auto& c : r) g.push_back(c.v);
+    }(s, std::move(fs), got));
+  }
+  s.run_until(ms(10));  // the straggler at 300us has arrived too
+  EXPECT_EQ(got, (std::vector<int>{0, 1}));
+  EXPECT_EQ(Counted::live, 0);
+  EXPECT_EQ(s.peek_next_event_at(), sec(1));
+  s.run_until_idle();
+  EXPECT_EQ(s.now(), sec(1));
+  EXPECT_EQ(s.events_run(), 10u);
+  EXPECT_EQ(Counted::live, 0);
+}
+
 TEST(AwaitAll, WaitsForEverything) {
   Simulation s;
   std::vector<Promise<Unit>> ps;
