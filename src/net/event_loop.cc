@@ -69,10 +69,24 @@ void EventLoop::del_fd(int fd) {
   handlers_.erase(fd);
 }
 
+int EventLoop::add_flush_hook(std::function<void()> fn) {
+  flush_hooks_.emplace_back(next_hook_id_, std::move(fn));
+  return next_hook_id_++;
+}
+
+void EventLoop::remove_flush_hook(int id) {
+  flush_hooks_.erase(
+      std::remove_if(flush_hooks_.begin(), flush_hooks_.end(),
+                     [id](const auto& h) { return h.first == id; }),
+      flush_hooks_.end());
+}
+
 void EventLoop::advance_sim() {
   // Run due timers, then pin the sim clock to wall time so everything
   // protocol code schedules "now" lands in the present.
   sim_.run_until(elapsed_us());
+  // Then hand what the timers and the socket handlers queued to the kernel.
+  for (auto& [id, fn] : flush_hooks_) fn();
 }
 
 void EventLoop::poll_once(int timeout_ms) {

@@ -10,8 +10,15 @@
 // the simulation's next timer is due (peek_next_event_at).  The sleep's
 // deadline has nanosecond resolution, so sim time tracks real microseconds
 // since construction and a timer fires within the kernel's wakeup latency
-// of its due time: a retry backoff of sim::ms(5) is a real 5ms pause, and
-// a 190us store service hop is a real 190us pause, not a whole millisecond.
+// of its due time: a retry backoff of sim::ms(5) is a real 5ms pause, not
+// a whole millisecond.
+//
+// Output is flushed at one point per advance: transports queue frames in
+// per-connection buffers and register a flush hook, which poll_once runs
+// right after each advance of the simulation — before it sleeps and at the
+// end of the iteration.  Everything one iteration produced for a
+// connection (replies to a batch of requests, the fan-out of a quorum
+// round) therefore leaves in a single send().
 // Needs Linux >= 5.11 and glibc >= 2.35 (checked at configure time).
 #pragma once
 
@@ -20,6 +27,8 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "sim/simulation.h"
 
@@ -48,6 +57,13 @@ class EventLoop {
   /// Unregisters a fd (safe from inside any IoFn, including its own).
   void del_fd(int fd);
 
+  /// Registers `fn` to run after every advance of the simulation in
+  /// poll_once (see file comment); returns a handle for remove_flush_hook.
+  /// A transport writes its queued output here.
+  int add_flush_hook(std::function<void()> fn);
+  /// Unregisters a flush hook (its owner is going away).
+  void remove_flush_hook(int id);
+
   /// Runs until stop(): dispatch ready sockets, advance the simulation to
   /// elapsed real time, sleep until the next socket or sim timer.
   void run();
@@ -56,10 +72,10 @@ class EventLoop {
   /// (the loop wakes at least every poll interval).
   void stop() { running_ = 0; }
 
-  /// One iteration (poll with `timeout_ms` cap, dispatch, advance sim);
-  /// lets tests and custom loops interleave their own work.  The cap is in
-  /// whole milliseconds; a sim timer due sooner ends the sleep at its due
-  /// microsecond.
+  /// One iteration (advance sim and flush, poll with `timeout_ms` cap,
+  /// dispatch, advance sim and flush); lets tests and custom loops
+  /// interleave their own work.  The cap is in whole milliseconds; a sim
+  /// timer due sooner ends the sleep at its due microsecond.
   void poll_once(int timeout_ms);
 
   /// Microseconds of wall time since construction == the sim-time target
@@ -69,6 +85,7 @@ class EventLoop {
   sim::Simulation& simulation() { return sim_; }
 
  private:
+  /// Advances the simulation to wall time, then runs the flush hooks.
   void advance_sim();
 
   sim::Simulation& sim_;
@@ -77,6 +94,8 @@ class EventLoop {
   /// unique_ptr keeps handler addresses stable across rehash; dispatch
   /// re-looks-up the fd so a handler removed mid-batch is skipped.
   std::unordered_map<int, std::unique_ptr<IoFn>> handlers_;
+  std::vector<std::pair<int, std::function<void()>>> flush_hooks_;
+  int next_hook_id_ = 0;
   int64_t start_ns_;
 };
 

@@ -42,15 +42,48 @@ wire::StoreReply store_nack(PeerId from) {
   return nack;
 }
 
+/// Appends what `fd` has to `inbuf`.  A short read means the socket is
+/// empty for now; the level-triggered epoll reports whatever arrives later,
+/// so the loop stops there instead of paying a read() that returns EAGAIN.
+/// Returns false at EOF or on a hard error; the bytes read before it stay
+/// in `inbuf` for the caller to deliver first.
+bool read_available(int fd, std::string& inbuf) {
+  char buf[16384];
+  while (true) {
+    ssize_t n = read(fd, buf, sizeof(buf));
+    if (n > 0) {
+      inbuf.append(buf, static_cast<size_t>(n));
+      if (static_cast<size_t>(n) < sizeof(buf)) return true;
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
+}
+
+/// One non-blocking send() of `outbuf`, dropping the sent prefix.  Returns
+/// false on a hard error.
+bool write_once(int fd, std::string& outbuf) {
+  if (outbuf.empty()) return true;
+  // MSG_NOSIGNAL: a peer that closed first (e.g. mid rolling restart)
+  // must surface as EPIPE here, not kill the process with SIGPIPE.
+  ssize_t n = send(fd, outbuf.data(), outbuf.size(), MSG_NOSIGNAL);
+  if (n < 0) return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
+  outbuf.erase(0, static_cast<size_t>(n));
+  return true;
+}
+
 }  // namespace
 
 TcpTransport::TcpTransport(EventLoop& loop, TcpOptions options)
     : loop_(loop),
       sim_(loop.simulation()),
       options_(options),
-      backoff_rng_(options.backoff_seed) {}
+      backoff_rng_(options.backoff_seed),
+      flush_hook_(loop.add_flush_hook([this] { flush(); })) {}
 
 TcpTransport::~TcpTransport() {
+  loop_.remove_flush_hook(flush_hook_);
   for (auto& l : listeners_) {
     if (l.fd >= 0) {
       loop_.del_fd(l.fd);
@@ -165,6 +198,7 @@ void TcpTransport::on_accept(size_t listener_idx) {
     conn->id = cid;
     conn->fd = cfd;
     conn->serves = l.serves;
+    InConn& c = *conn;
     inconns_[cid] = std::move(conn);
     // Advertise our version range immediately; the peer does the same, and
     // both sides pin the connection version on receipt.
@@ -172,7 +206,7 @@ void TcpTransport::on_accept(size_t listener_idx) {
     hello.min = options_.wire_version_min;
     hello.max = options_.wire_version_max;
     hello.node = static_cast<uint32_t>(l.serves);
-    send_on_inconn(cid, wire::encode_hello(hello));
+    send_on_inconn(c, wire::encode_hello(hello));
   }
 }
 
@@ -188,22 +222,10 @@ void TcpTransport::on_inconn_io(uint64_t conn_id, uint32_t events) {
   auto it = inconns_.find(conn_id);
   if (it == inconns_.end()) return;
   InConn& c = *it->second;
-  if (events & (EPOLLHUP | EPOLLERR)) {
-    close_inconn(conn_id);
-    return;
-  }
+  // Frames that arrived before a close are served before it is honoured.
+  bool open = (events & (EPOLLHUP | EPOLLERR)) == 0;
   if (events & EPOLLIN) {
-    char buf[16384];
-    while (true) {
-      ssize_t n = read(c.fd, buf, sizeof(buf));
-      if (n > 0) {
-        c.inbuf.append(buf, static_cast<size_t>(n));
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      close_inconn(conn_id);  // EOF or hard error
-      return;
-    }
+    if (!read_available(c.fd, c.inbuf)) open = false;  // EOF or hard error
     if (!drain_serving(c)) {
       close_inconn(conn_id);  // malformed frame or drain: kill the connection
       return;
@@ -211,7 +233,11 @@ void TcpTransport::on_inconn_io(uint64_t conn_id, uint32_t events) {
     // drain_serving may have dispatched handlers that closed this conn.
     if (inconns_.find(conn_id) == inconns_.end()) return;
   }
-  if (events & EPOLLOUT) flush_inconn(c);
+  if (!open) {
+    close_inconn(conn_id);
+    return;
+  }
+  if (events & EPOLLOUT) write_inconn(c);
 }
 
 bool TcpTransport::drain_serving(InConn& c) {
@@ -250,7 +276,7 @@ bool TcpTransport::drain_serving(InConn& c) {
         if (!msg) return false;
         if (ep != nullptr && ep->serve_store) {
           wire::StoreReply reply = ep->serve_store(*msg);
-          send_on_inconn(c.id, wire::encode_store_reply(fv.req_id, reply, c.version));
+          send_on_inconn(c, wire::encode_store_reply(fv.req_id, reply, c.version));
         }
         break;
       }
@@ -271,33 +297,52 @@ void TcpTransport::respond_on_inconn(uint64_t conn_id, uint64_t req_id,
   // version the connection negotiated (and silently dropped if the
   // requester is already gone).
   auto it = inconns_.find(conn_id);
-  if (it == inconns_.end()) return;
-  send_on_inconn(conn_id, wire::encode_response(req_id, resp, it->second->version));
-}
-
-void TcpTransport::send_on_inconn(uint64_t conn_id, std::string frame) {
-  auto it = inconns_.find(conn_id);
   if (it == inconns_.end()) return;  // requester went away: reply dropped
   InConn& c = *it->second;
-  c.outbuf.append(frame);
-  flush_inconn(c);
+  send_on_inconn(c, wire::encode_response(req_id, resp, c.version));
 }
 
-void TcpTransport::flush_inconn(InConn& c) {
-  while (!c.outbuf.empty()) {
-    // MSG_NOSIGNAL: a peer that closed first (e.g. mid rolling restart)
-    // must surface as EPIPE here, not kill the process with SIGPIPE.
-    ssize_t n = send(c.fd, c.outbuf.data(), c.outbuf.size(), MSG_NOSIGNAL);
-    if (n > 0) {
-      c.outbuf.erase(0, static_cast<size_t>(n));
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    uint64_t cid = c.id;
-    close_inconn(cid);
+void TcpTransport::send_on_inconn(InConn& c, std::string frame) {
+  c.outbuf.append(frame);
+  if (!c.dirty) {
+    c.dirty = true;
+    dirty_inconns_.push_back(c.id);
+  }
+}
+
+void TcpTransport::write_inconn(InConn& c) {
+  if (!write_once(c.fd, c.outbuf)) {
+    close_inconn(c.id);
     return;
   }
-  loop_.mod_fd(c.fd, EPOLLIN | (c.outbuf.empty() ? 0u : uint32_t{EPOLLOUT}));
+  set_out_interest(c.fd, c.out_armed, !c.outbuf.empty());
+}
+
+void TcpTransport::set_out_interest(int fd, bool& armed, bool want) {
+  if (armed == want) return;
+  armed = want;
+  loop_.mod_fd(fd, EPOLLIN | (want ? uint32_t{EPOLLOUT} : 0u));
+}
+
+void TcpTransport::flush() {
+  // Walk a swapped-out list: a write may close a connection, and an id
+  // whose connection is gone is simply skipped.
+  flushing_peers_.swap(dirty_peers_);
+  for (PeerId id : flushing_peers_) {
+    auto it = peers_.find(id);
+    if (it == peers_.end()) continue;
+    it->second->dirty = false;
+    write_peer(*it->second);
+  }
+  flushing_peers_.clear();
+  flushing_inconns_.swap(dirty_inconns_);
+  for (uint64_t cid : flushing_inconns_) {
+    auto it = inconns_.find(cid);
+    if (it == inconns_.end()) continue;
+    it->second->dirty = false;
+    write_inconn(*it->second);
+  }
+  flushing_inconns_.clear();
 }
 
 // ---- Outbound side ---------------------------------------------------------
@@ -346,6 +391,7 @@ void TcpTransport::start_connect(PeerId id) {
   p.fd = fd;
   p.connected = false;
   p.connecting = (rc != 0);
+  p.out_armed = (rc != 0);  // the connect completes as EPOLLOUT
   if (rc == 0) on_peer_connected(id);
 }
 
@@ -362,7 +408,7 @@ void TcpTransport::on_peer_connected(PeerId id) {
   hello.min = options_.wire_version_min;
   hello.max = options_.wire_version_max;
   hello.node = options_.hello_node;
-  send_to_peer(p, wire::encode_hello(hello));
+  send_to_peer(id, p, wire::encode_hello(hello));
 }
 
 void TcpTransport::schedule_reconnect(PeerId id) {
@@ -416,6 +462,7 @@ void TcpTransport::fail_peer(PeerId id) {
   }
   p.connected = false;
   p.connecting = false;
+  p.out_armed = false;
   p.hello_ok = false;
   p.version = 0;
   p.inbuf.clear();
@@ -438,22 +485,12 @@ void TcpTransport::on_peer_io(PeerId id, uint32_t events) {
     }
     on_peer_connected(id);
   }
-  if (events & (EPOLLHUP | EPOLLERR)) {
-    fail_peer(id);
-    return;
-  }
+  // Replies that arrived before a close are delivered before it is
+  // honoured: a reply read in the same wakeup as the peer's FIN is a
+  // reply, not a retryable failure.
+  bool open = (events & (EPOLLHUP | EPOLLERR)) == 0;
   if (events & EPOLLIN) {
-    char buf[16384];
-    while (true) {
-      ssize_t n = read(p.fd, buf, sizeof(buf));
-      if (n > 0) {
-        p.inbuf.append(buf, static_cast<size_t>(n));
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      fail_peer(id);
-      return;
-    }
+    if (!read_available(p.fd, p.inbuf)) open = false;  // EOF or hard error
     bool drained = false;
     if (!drain_peer(p, drained)) {
       // Either a protocol violation or a Goodbye.  A Goodbye is the clean
@@ -467,7 +504,11 @@ void TcpTransport::on_peer_io(PeerId id, uint32_t events) {
       return;
     }
   }
-  if ((events & EPOLLOUT) && p.connected) flush_peer(id);
+  if (!open) {
+    fail_peer(id);
+    return;
+  }
+  if ((events & EPOLLOUT) && p.connected) write_peer(p);
 }
 
 bool TcpTransport::drain_peer(Peer& p, bool& drained) {
@@ -521,27 +562,22 @@ bool TcpTransport::drain_peer(Peer& p, bool& drained) {
   }
 }
 
-void TcpTransport::send_to_peer(Peer& p, std::string frame) {
+void TcpTransport::send_to_peer(PeerId id, Peer& p, std::string frame) {
   p.outbuf.append(frame);
-  if (!p.connected) return;  // flushed on connect completion
-  while (!p.outbuf.empty()) {
-    ssize_t n = send(p.fd, p.outbuf.data(), p.outbuf.size(), MSG_NOSIGNAL);
-    if (n > 0) {
-      p.outbuf.erase(0, static_cast<size_t>(n));
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    // Hard write error: the next epoll wakeup (EPOLLERR/HUP) tears the
-    // connection down; stop pushing bytes now.
-    return;
+  ++p.frames;
+  if (!p.dirty) {
+    p.dirty = true;
+    dirty_peers_.push_back(id);
   }
-  loop_.mod_fd(p.fd, EPOLLIN | (p.outbuf.empty() ? 0u : uint32_t{EPOLLOUT}));
 }
 
-void TcpTransport::flush_peer(PeerId id) {
-  auto it = peers_.find(id);
-  if (it == peers_.end()) return;
-  send_to_peer(*it->second, std::string());
+void TcpTransport::write_peer(Peer& p) {
+  if (!p.connected) return;  // written on connect completion
+  if (!p.outbuf.empty()) ++p.writes;
+  // A hard write error surfaces as EPOLLERR/HUP at the next wakeup, which
+  // tears the connection down; stop pushing bytes now.
+  if (!write_once(p.fd, p.outbuf)) return;
+  set_out_interest(p.fd, p.out_armed, !p.outbuf.empty());
 }
 
 // ---- Drain -----------------------------------------------------------------
@@ -552,7 +588,7 @@ void TcpTransport::announce_drain(wire::GoodbyeReason reason) {
   // the plain close that follows).
   for (auto& [cid, c] : inconns_) {
     if (c->hello_ok && c->version >= 2) {
-      send_on_inconn(cid, wire::encode_goodbye(reason, c->version));
+      send_on_inconn(*c, wire::encode_goodbye(reason, c->version));
     }
   }
   // Outbound side: same notice to peers we call, then fail our own
@@ -560,10 +596,12 @@ void TcpTransport::announce_drain(wire::GoodbyeReason reason) {
   // reply can be delivered to the caller coroutines after that.
   for (auto& [id, p] : peers_) {
     if (p->connected && p->hello_ok && p->version >= 2) {
-      send_to_peer(*p, wire::encode_goodbye(reason, p->version));
+      send_to_peer(id, *p, wire::encode_goodbye(reason, p->version));
     }
     fail_inflight(*p);
   }
+  // The caller exits next, with no loop iteration left to flush.
+  flush();
 }
 
 // ---- Transport -------------------------------------------------------------
@@ -587,7 +625,7 @@ sim::Future<wire::Response> TcpTransport::invoke(PeerId self, PeerId peer,
   }
   uint64_t id = next_req_id_++;
   pit->second->pending_invoke.emplace(id, reply);
-  send_to_peer(*pit->second,
+  send_to_peer(peer, *pit->second,
                wire::encode_request(id, req, pit->second->version));
   return reply.future();
 }
@@ -618,7 +656,7 @@ sim::Future<wire::StoreReply> TcpTransport::store_call(
   }
   uint64_t id = next_req_id_++;
   pit->second->pending_store.emplace(id, p);
-  send_to_peer(*pit->second,
+  send_to_peer(peer, *pit->second,
                wire::encode_store_request(id, msg, pit->second->version));
   return p.future();
 }
@@ -651,6 +689,8 @@ std::vector<PeerInfo> TcpTransport::peer_info() const {
     info.reconnects =
         p->established_count > 0 ? p->established_count - 1 : 0;
     info.handshake_failures = p->handshake_failures;
+    info.frames = p->frames;
+    info.writes = p->writes;
     out.push_back(info);
   }
   std::sort(out.begin(), out.end(),

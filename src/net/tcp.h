@@ -30,7 +30,14 @@
 // with a retryable result — Response{Timeout} on the client seam, a
 // StoreReply nack on the store seam — never silently lost and never
 // resent by the transport (retry stays the caller's decision, so nothing is
-// duplicated).
+// duplicated).  Replies that arrived before the connection died are
+// delivered first: a reply and the FIN read in one wakeup is still a reply.
+//
+// Writes are coalesced: sending a frame only appends it to the
+// connection's buffer and marks the connection dirty; the EventLoop's
+// flush hook then makes one send() per dirty connection after each
+// advance of the simulation.  EPOLLOUT is watched only while a connection
+// has a backlog the kernel would not take.
 #pragma once
 
 #include <cstdint>
@@ -68,14 +75,16 @@ struct TcpOptions {
 };
 
 /// Per-route diagnostics surfaced in GET /v1/status and the metrics
-/// registry: which wire version each live connection negotiated and how
-/// churned the route has been.
+/// registry: which wire version each live connection negotiated, how
+/// churned the route has been, and how well its writes coalesce.
 struct PeerInfo {
   PeerId id = -1;
   bool connected = false;     // handshake complete, requests flowing
   uint8_t wire_version = 0;   // negotiated version; 0 until established
   uint64_t reconnects = 0;    // successful re-establishments after the first
   uint64_t handshake_failures = 0;  // Hellos rejected (malformed/incompatible)
+  uint64_t frames = 0;        // frames queued on the route (Hellos included)
+  uint64_t writes = 0;        // send() calls that carried them
 };
 
 class TcpTransport final : public Transport {
@@ -105,7 +114,8 @@ class TcpTransport final : public Transport {
   /// Graceful-drain notice: sends a Goodbye frame on every established
   /// connection whose negotiated version carries it (v2+), then fails this
   /// side's in-flight requests as retryable.  v1 peers see a plain close.
-  /// Call before exiting/re-execing (musicd's SIGTERM path).
+  /// Call before exiting/re-execing (musicd's SIGTERM path); the notices
+  /// are written before it returns, since no loop iteration may follow.
   void announce_drain(wire::GoodbyeReason reason);
 
   // ---- Transport -----------------------------------------------------------
@@ -148,6 +158,8 @@ class TcpTransport final : public Transport {
     int fd = -1;
     bool connected = false;      // TCP established
     bool connecting = false;     // nonblocking connect in flight
+    bool out_armed = false;      // EPOLLOUT in the watched mask
+    bool dirty = false;          // queued in dirty_peers_
     bool hello_ok = false;       // peer's Hello accepted, version pinned
     uint8_t version = 0;         // negotiated wire version once hello_ok
     bool reconnect_pending = false;
@@ -159,6 +171,8 @@ class TcpTransport final : public Transport {
     sim::Duration backoff = 0;   // previous jittered pause (0 = fresh)
     uint64_t established_count = 0;
     uint64_t handshake_failures = 0;
+    uint64_t frames = 0;
+    uint64_t writes = 0;
     std::string inbuf;
     std::string outbuf;
     std::unordered_map<uint64_t, sim::Promise<wire::Response>> pending_invoke;
@@ -172,6 +186,8 @@ class TcpTransport final : public Transport {
     PeerId serves = -1;
     bool hello_ok = false;
     uint8_t version = 0;
+    bool out_armed = false;  // EPOLLOUT in the watched mask
+    bool dirty = false;      // queued in dirty_inconns_
     std::string inbuf;
     std::string outbuf;
   };
@@ -189,15 +205,24 @@ class TcpTransport final : public Transport {
   void fail_peer(PeerId id);
   void fail_inflight(Peer& p);
   void schedule_reconnect(PeerId id);
-  void send_to_peer(Peer& p, std::string frame);
-  void flush_peer(PeerId id);
+  /// Queues a frame on the route; it leaves at the next flush.
+  void send_to_peer(PeerId id, Peer& p, std::string frame);
+  /// One send() of the route's backlog; EPOLLOUT stays armed for the rest.
+  void write_peer(Peer& p);
 
   void on_accept(size_t listener_idx);
   void on_inconn_io(uint64_t conn_id, uint32_t events);
   void close_inconn(uint64_t conn_id);
   void respond_on_inconn(uint64_t conn_id, uint64_t req_id, const wire::Response& resp);
-  void send_on_inconn(uint64_t conn_id, std::string frame);
-  void flush_inconn(InConn& c);
+  /// Queues a frame on a serving connection; it leaves at the next flush.
+  void send_on_inconn(InConn& c, std::string frame);
+  /// One send() of the connection's backlog; closes it on a hard error.
+  void write_inconn(InConn& c);
+  /// The loop's flush hook: writes every dirty connection once.
+  void flush();
+  /// Watches EPOLLOUT on `fd` iff `want`, calling epoll_ctl only when
+  /// that changes.
+  void set_out_interest(int fd, bool& armed, bool want);
 
   /// The acceptance window for peel_frame on a connection: pre-handshake
   /// only Hello-compatible frames, post-handshake everything up to the
@@ -227,6 +252,11 @@ class TcpTransport final : public Transport {
   std::unordered_map<uint64_t, std::unique_ptr<InConn>> inconns_;
   uint64_t next_conn_id_ = 1;
   uint64_t next_req_id_ = 1;
+  /// Connections with queued output, by id (a connection may close before
+  /// the flush); `flushing_` is the swap buffer the flush walks.
+  std::vector<PeerId> dirty_peers_, flushing_peers_;
+  std::vector<uint64_t> dirty_inconns_, flushing_inconns_;
+  int flush_hook_ = -1;
 };
 
 }  // namespace music::net

@@ -180,19 +180,23 @@ inline MainLaneAwaiter on_main_lane(Simulation& sim) {
 /// Awaits `f`, giving up after `timeout`.  Returns the value, or nullopt on
 /// timeout.  A late fulfilment after timeout is ignored safely.
 ///
-/// The timeout event is always scheduled and always fires (the kernel has
-/// no cancellation, and event counts are part of the determinism goldens),
-/// but it holds only a small gate: settling drops the gate's promise, so a
-/// reply that arrived in time is freed as soon as the awaiting coroutine is
-/// done with it rather than when the timer fires.
+/// Settling cancels the timeout timer (Simulation::cancel), so a wait that
+/// was answered in time leaves nothing queued: not its reply, not the
+/// gate, not an event.  Where cancel cannot reach the timer (a timeout
+/// inside the near wheel, or settled from another PDES lane) the timer
+/// still fires, finds the gate settled and does nothing.
 template <typename T>
 Task<std::optional<T>> await_with_timeout(Simulation& sim, Future<T> f,
                                           Duration timeout) {
   struct Gate {
+    Simulation* sim;
     std::optional<Promise<std::optional<T>>> done;
-    /// Fulfils and drops the promise; later calls are no-ops.
+    TimerId timer;
+    /// Cancels the timer, fulfils and drops the promise; later calls are
+    /// no-ops.
     void settle(std::optional<T> v) {
       if (!done) return;
+      sim->cancel(std::exchange(timer, {}));
       Promise<std::optional<T>> p = std::move(*done);
       done.reset();
       p.set_value(std::move(v));
@@ -200,9 +204,13 @@ Task<std::optional<T>> await_with_timeout(Simulation& sim, Future<T> f,
   };
   Promise<std::optional<T>> done(sim);
   auto gate = std::make_shared<Gate>();
+  gate->sim = &sim;
   gate->done.emplace(done);
   f.on_value([gate](const T& v) { gate->settle(v); });
-  sim.schedule(timeout, [gate] { gate->settle(std::nullopt); });
+  gate->timer = sim.schedule_timer(timeout, [gate] {
+    gate->timer = {};  // firing: nothing left to cancel
+    gate->settle(std::nullopt);
+  });
   co_return co_await done.future();
 }
 
@@ -212,19 +220,21 @@ Task<std::optional<T>> await_with_timeout(Simulation& sim, Future<T> f,
 /// arrival order): size() >= want means the quorum was reached.  This is the
 /// primitive behind quorum reads/writes and consensus vote collection.
 ///
-/// As in await_with_timeout, the timeout event outlives the wait but holds
-/// only the gate, which releases the promise and the gathered replies the
-/// moment the wait settles.
+/// As in await_with_timeout, settling cancels the timeout timer and hands
+/// the gathered replies over, so nothing of a settled wait stays queued.
 template <typename T>
 Task<std::vector<T>> await_count(Simulation& sim, std::vector<Future<T>> fs,
                                  size_t want, Duration timeout) {
   struct Gather {
+    Simulation* sim;
     std::vector<T> got;
     std::optional<Promise<std::vector<T>>> result;
-    /// Hands the replies to the promise and drops both; later calls are
-    /// no-ops.
+    TimerId timer;
+    /// Cancels the timer, hands the replies to the promise and drops both;
+    /// later calls are no-ops.
     void settle() {
       if (!result) return;
+      sim->cancel(std::exchange(timer, {}));
       Promise<std::vector<T>> p = std::move(*result);
       result.reset();
       p.set_value(std::exchange(got, {}));
@@ -235,6 +245,7 @@ Task<std::vector<T>> await_count(Simulation& sim, std::vector<Future<T>> fs,
     result.set_value({});
   } else {
     auto g = std::make_shared<Gather>();
+    g->sim = &sim;
     g->result.emplace(result);
     for (auto& f : fs) {
       f.on_value([g, want](const T& v) {
@@ -244,7 +255,10 @@ Task<std::vector<T>> await_count(Simulation& sim, std::vector<Future<T>> fs,
       });
     }
     if (timeout != kTimeNever) {
-      sim.schedule(timeout, [g] { g->settle(); });
+      g->timer = sim.schedule_timer(timeout, [g] {
+        g->timer = {};  // firing: nothing left to cancel
+        g->settle();
+      });
     }
   }
   co_return co_await result.future();

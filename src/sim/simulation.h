@@ -19,6 +19,16 @@
 //    events beyond the window (coarse timeouts, heartbeats), compared
 //    against the wheel head on every pop.
 //
+// Far-heap timers are cancellable (schedule_timer/cancel): cancel destroys
+// the callback and recycles its slot at once, and leaves the heap entry
+// behind as a stale tombstone — its seq no longer matches the slot's — that
+// is skipped when popped and never counted in events_run().  A classic
+// lane purges tombstones from the heap front and compacts once they make
+// up half the heap; a PDES lane keeps them until their time, so lookahead
+// windows are bounded as if the cancelled timers ran as no-ops.
+// Cancelling never reorders anything: the surviving events keep their
+// (at, seq) keys.
+//
 // Both structures order by the same (at, seq) key — bucket FIFO order IS
 // seq order for equal timestamps — so execution order is exactly the
 // (at, seq) order of the previous std::priority_queue<std::function>
@@ -64,6 +74,22 @@ class Tracer;
 namespace music::sim {
 
 class Simulation;
+
+/// Handle to a cancellable timer (Simulation::schedule_timer).  A
+/// default-constructed handle names no timer; cancelling it is a no-op.
+class TimerId {
+ public:
+  TimerId() = default;
+  explicit operator bool() const { return lane_ != nullptr; }
+
+ private:
+  friend class Simulation;
+  TimerId(const void* lane, uint32_t slot, uint64_t seq)
+      : lane_(lane), slot_(slot), seq_(seq) {}
+  const void* lane_ = nullptr;
+  uint32_t slot_ = 0;
+  uint64_t seq_ = 0;
+};
 
 namespace detail {
 /// The simulation (and event lane, under PDES) currently executing an
@@ -155,10 +181,12 @@ class Simulation {
     assert(opt.lookahead >= 1);
     assert(tracer_ == nullptr && "tracing is unsupported under PDES");
     lookahead_ = opt.lookahead;
+    main_.keep_stale_ = true;
     site_lanes_.reserve(static_cast<size_t>(opt.sites));
     for (int s = 0; s < opt.sites; ++s) {
       auto lane = std::make_unique<Lane>();
       lane->now_ = main_.now_;
+      lane->keep_stale_ = true;
       // Per-lane random streams, forked deterministically from the root so
       // model code drawing from rng() on a lane never races or perturbs
       // another lane's stream.
@@ -221,6 +249,42 @@ class Simulation {
     schedule_lane_at_emplace(exec_lane(), t, std::forward<F>(f));
   }
 
+  /// Schedules `f` to run `delay` microseconds from now, like schedule(),
+  /// and returns a handle that cancel() accepts.  Only a timer that lands
+  /// in the far heap (delay >= kWheelTicks) can be cancelled; a nearer one
+  /// gets an empty handle and simply runs.
+  template <typename F>
+  TimerId schedule_timer(Duration delay, F&& f) {
+    Lane& L = exec_lane();
+    uint32_t slot = L.acquire_slot();
+    EventSlot& s = L.slot_ref(slot);
+    s.fn.emplace(std::forward<F>(f));
+    s.ctx = L.trace_ctx_;
+    bool far = L.enqueue(L.now_ + (delay > 0 ? delay : 0), slot, s);
+    return far ? TimerId(&L, slot, s.seq) : TimerId();
+  }
+
+  /// Cancels a pending timer: its callback (and everything it captured) is
+  /// destroyed now and the timer never runs nor counts in events_run().
+  /// Returns false, leaving the timer to fire, when the handle is empty,
+  /// the timer already ran (or is running) or was cancelled, or the caller
+  /// executes on another lane than the one that scheduled it (PDES: lanes
+  /// never touch each other's queues inside a window).  A callback whose
+  /// cancel can fail must therefore stay safe to run late.
+  bool cancel(TimerId id) {
+    Lane& L = exec_lane();
+    if (id.lane_ != &L) return false;
+    EventSlot& s = L.slot_ref(id.slot_);
+    if (s.seq != id.seq_) return false;
+    s.seq = kStaleSeq;  // the heap entry is now a tombstone
+    s.fn.reset();
+    L.release_slot(id.slot_);
+    ++L.stale_;
+    ++L.cancelled_;
+    if (!L.keep_stale_) L.tidy_heap();
+    return true;
+  }
+
   /// Schedules `fn` at absolute time `t` on site `site`'s lane (PDES only).
   /// From another lane inside a window this buffers the event in the
   /// sender's outbox — `t` must then be at or beyond the window end, which
@@ -279,6 +343,7 @@ class Simulation {
     assert(!pdes());
     uint32_t slot = main_.pop_next_slot();
     if (slot == kNoSlot) return false;
+    assert(slot != kStaleSlot);  // classic lanes never expose a tombstone
     run_slot(main_, slot);
     return true;
   }
@@ -312,7 +377,8 @@ class Simulation {
   /// Runs the simulation forward by `d` microseconds of virtual time.
   void run_for(Duration d) { run_until(now() + d); }
 
-  /// True when no events are pending.
+  /// True when nothing is queued.  Under PDES a cancelled timer's tombstone
+  /// still counts here until its time passes (see enable_pdes).
   bool idle() const {
     if (!main_.idle()) return false;
     for (const auto& L : site_lanes_) {
@@ -332,7 +398,7 @@ class Simulation {
     return t;
   }
 
-  /// Number of pending events (diagnostics).
+  /// Number of pending events, cancelled timers excluded (diagnostics).
   size_t pending() const {
     size_t n = main_.pending();
     for (const auto& L : site_lanes_) n += L->pending();
@@ -340,9 +406,18 @@ class Simulation {
   }
 
   /// Total events executed so far (diagnostics), summed across lanes.
+  /// Cancelled timers never run and are not counted.
   uint64_t events_run() const {
     uint64_t n = main_.events_run_;
     for (const auto& L : site_lanes_) n += L->events_run_;
+    return n;
+  }
+
+  /// Timers cancelled so far (successful cancel() calls), summed across
+  /// lanes (diagnostics).
+  uint64_t timers_cancelled() const {
+    uint64_t n = main_.cancelled_;
+    for (const auto& L : site_lanes_) n += L->cancelled_;
     return n;
   }
 
@@ -402,9 +477,25 @@ class Simulation {
   static constexpr int kMainLane = -1;
 
   static constexpr uint32_t kNoSlot = UINT32_MAX;
+  /// pop_next_slot() result for a popped tombstone (PDES lanes only).
+  static constexpr uint32_t kStaleSlot = UINT32_MAX - 1;
+  /// Slot seq of a cancelled or already-popped far timer: never a live seq,
+  /// so the heap entry still naming the slot reads as stale and cancel()
+  /// of the timer is a no-op.
+  static constexpr uint64_t kStaleSeq = UINT64_MAX;
   static constexpr uint32_t kNoTick = UINT32_MAX;
   static constexpr size_t kArity = 8;
   static constexpr size_t kInitialCapacity = 256;
+  /// Far-heap entries reserved per lane: 96 KiB of address space, whose
+  /// pages are touched only as the heap fills.  Realistic worlds grow the
+  /// heap this far anyway.  The size matters at teardown too: glibc
+  /// consolidates its fastbins when a chunk of 64 KiB or more is freed, and
+  /// the heap is a lane's last buffer freed, so the small blocks a world's
+  /// teardown releases are consolidated there — not by the first large
+  /// allocation of whatever is built next (with a 6 KiB reserve, a world
+  /// whose cancelled timers kept the heap small left ~13k such blocks, and
+  /// the next world build took twice as long).
+  static constexpr size_t kHeapReserve = 4096;
   static constexpr uint32_t kWheelMask = kWheelTicks - 1;
   static constexpr uint32_t kWheelWords = kWheelTicks / 64;
 
@@ -458,9 +549,18 @@ class Simulation {
     /// bucket, and on clock movement (the scan origin changes).
     uint32_t cached_tick_ = kNoTick;
     std::vector<Mail> outbox_;
+    /// Tombstones (cancelled timers' entries) still in heap_.
+    size_t stale_ = 0;
+    uint64_t cancelled_ = 0;
+    /// PDES lanes keep tombstones in place until their time comes and pop
+    /// them as kStaleSlot, so the lane's front — and with it every
+    /// lookahead window and the window-end clamp of schedule_main_at, which
+    /// results depend on — is what it would be if the cancelled timer ran
+    /// as a no-op.  Classic lanes purge the front and compact instead.
+    bool keep_stale_ = false;
 
     Lane() : wheel_(kWheelTicks) {
-      heap_.reserve(kInitialCapacity);
+      heap_.reserve(kHeapReserve);
       chunks_.reserve(kInitialCapacity / kChunkSlots);
     }
 
@@ -469,7 +569,37 @@ class Simulation {
     }
 
     bool idle() const { return wheel_count_ == 0 && heap_.empty(); }
-    size_t pending() const { return wheel_count_ + heap_.size(); }
+    size_t pending() const { return wheel_count_ + heap_.size() - stale_; }
+
+    bool is_stale(const HeapEntry& e) {
+      return slot_ref(e.slot).seq != e.seq;
+    }
+
+    /// Classic lanes: restores "the heap front is live" after the front
+    /// was popped or cancelled, and compacts once tombstones are half the
+    /// heap (each compaction follows at least as many cancels as it keeps
+    /// entries, so its cost amortises to O(1) per cancel).
+    void tidy_heap() {
+      if (stale_ == 0) return;
+      if (stale_ * 2 > heap_.size()) {
+        heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                                   [this](const HeapEntry& e) {
+                                     return is_stale(e);
+                                   }),
+                    heap_.end());
+        stale_ = 0;
+        if (heap_.size() > 1) {
+          for (size_t i = (heap_.size() - 2) / kArity + 1; i-- > 0;) {
+            sift_down(i, heap_[i]);
+          }
+        }
+        return;
+      }
+      while (stale_ != 0 && is_stale(heap_.front())) {
+        pop_root();
+        --stale_;
+      }
+    }
 
     void advance_clock(Time t) {
       if (now_ != t) {
@@ -495,8 +625,9 @@ class Simulation {
       free_head_ = slot;
     }
 
-    /// Queues a filled slot at time t (slot's fn/ctx already set).
-    void enqueue(Time t, uint32_t slot, EventSlot& s) {
+    /// Queues a filled slot at time t (slot's fn/ctx already set).  Returns
+    /// true when it went to the far heap.
+    bool enqueue(Time t, uint32_t slot, EventSlot& s) {
       s.at = t;
       s.seq = next_seq_++;
       if (t - now_ < static_cast<Time>(kWheelTicks)) {
@@ -512,10 +643,11 @@ class Simulation {
         }
         ++wheel_count_;
         cached_tick_ = kNoTick;
-      } else {
-        heap_.push_back(HeapEntry{t, s.seq, slot});
-        sift_up(heap_.size() - 1);
+        return false;
       }
+      heap_.push_back(HeapEntry{t, s.seq, slot});
+      sift_up(heap_.size() - 1);
+      return true;
     }
 
     /// Index of the first non-empty bucket at or after now_ (caller must
@@ -540,9 +672,7 @@ class Simulation {
     uint32_t pop_next_slot() {
       if (wheel_count_ == 0) {
         if (heap_.empty()) return kNoSlot;
-        uint32_t slot = heap_.front().slot;
-        pop_root();
-        return slot;
+        return pop_heap_front();
       }
       uint32_t tick = find_next_bucket();
       Bucket& bk = wheel_[tick];
@@ -554,9 +684,7 @@ class Simulation {
         // advanced to within a window of it; equal timestamps fall back to
         // seq.
         if (f.at < ws.at || (f.at == ws.at && f.seq < ws.seq)) {
-          uint32_t slot = f.slot;
-          pop_root();
-          return slot;
+          return pop_heap_front();
         }
       }
       bk.head = ws.next;
@@ -567,6 +695,21 @@ class Simulation {
       }
       --wheel_count_;
       return wslot;
+    }
+
+    /// Pops the far-heap root: its slot, or kStaleSlot for a tombstone
+    /// (which only PDES lanes leave at the front).
+    uint32_t pop_heap_front() {
+      HeapEntry f = heap_.front();
+      pop_root();
+      EventSlot& s = slot_ref(f.slot);
+      if (s.seq != f.seq) {
+        --stale_;
+        return kStaleSlot;
+      }
+      s.seq = kStaleSeq;  // running now: a late cancel() must not touch it
+      if (!keep_stale_) tidy_heap();
+      return f.slot;
     }
 
     /// pop_next_slot(), but only if the next event is strictly before
@@ -602,9 +745,12 @@ class Simulation {
     void pop_root() {
       HeapEntry last = heap_.back();
       heap_.pop_back();
+      if (!heap_.empty()) sift_down(0, last);
+    }
+
+    /// Places `last` at hole `i`, moving smaller children up.
+    void sift_down(size_t i, HeapEntry last) {
       size_t n = heap_.size();
-      if (n == 0) return;
-      size_t i = 0;
       while (true) {
         size_t child = i * kArity + 1;
         if (child >= n) break;
@@ -680,7 +826,7 @@ class Simulation {
     for (;;) {
       uint32_t slot = L.pop_next_slot_below(window_end_);
       if (slot == kNoSlot) break;
-      run_slot(L, slot);
+      if (slot != kStaleSlot) run_slot(L, slot);
     }
   }
 
@@ -743,7 +889,7 @@ class Simulation {
         // same instant.  Main-lane events run alone, so they may mutate
         // cross-lane state (faults, shard moves, workload bookkeeping).
         uint32_t slot = main_.pop_next_slot();
-        run_slot(main_, slot);
+        if (slot != kStaleSlot) run_slot(main_, slot);
         continue;
       }
       Time we = tl > kTimeNever - lookahead_ ? kTimeNever : tl + lookahead_;

@@ -54,14 +54,14 @@ struct Golden {
 // carry no "/sh" segment and run the classic single-group path — pinning
 // them here guards the dispatch seam too.
 constexpr Golden kGoldens[] = {
-    {"music/local/mix0/c3/s1", 0xaed5cfab1ed7a757ull},
-    {"music/local/mix0/c3/s2", 0xbf3c51e931abf63full},
-    {"music/local/mix0/c3/sh4/s1", 0xb35ae0e625343f1full},
-    {"music/local/mix0/c3/sh4/s2", 0x0b2cb9c1cca47c4bull},
-    {"mscp/local/mix0/c3/s1", 0xf2de149396a8e44dull},
-    {"mscp/local/mix0/c3/s2", 0x3e0d14c88037b288ull},
-    {"mscp/local/mix0/c3/sh4/s1", 0xceda97e2740ce4fdull},
-    {"mscp/local/mix0/c3/sh4/s2", 0x2618f74b676a9f0bull},
+    {"music/local/mix0/c3/s1", 0xee6a2d31c4a519bfull},
+    {"music/local/mix0/c3/s2", 0xad9b6c9e4e36d460ull},
+    {"music/local/mix0/c3/sh4/s1", 0xf9dbf0c47225f7f7ull},
+    {"music/local/mix0/c3/sh4/s2", 0x9e46303ab257739cull},
+    {"mscp/local/mix0/c3/s1", 0xdc6b4b8f00ba3dd8ull},
+    {"mscp/local/mix0/c3/s2", 0x878791e54f9e4c48ull},
+    {"mscp/local/mix0/c3/sh4/s1", 0x41cc3bc37d44765bull},
+    {"mscp/local/mix0/c3/sh4/s2", 0x0f6101496fdb5574ull},
 };
 
 std::vector<CellOutcome> sweep(size_t threads) {

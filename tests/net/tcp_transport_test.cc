@@ -400,20 +400,22 @@ TEST(TcpTransport, InflightRequestsFailRetryableWhenConnectionDrops) {
   ASSERT_TRUE(wait_peer_up(loop, client, 1, 3000));
 
   auto f_invoke = client.invoke(100, 1, wire::Request(), 96);
-  wire::StoreRequest msg = wire::StoreRequest::read("k");
-  auto f_store = client.store_call(0, 1, msg, 64, 32, 16,
-                                   sim::MsgKind::StoreRead,
-                                   sim::MsgKind::StoreAck);
-  // Both requests reach the server's hold queue...
+  // The invoke reaches the server's hold queue...
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(3);
   while (held.empty() && std::chrono::steady_clock::now() < deadline) {
     loop.poll_once(5);
   }
   ASSERT_FALSE(held.empty());
 
-  // ...then the server process dies.  The in-flight requests must surface
-  // as retryable results FAST (transport-synthesized), not hang until some
-  // distant caller timeout.
+  // ...a store call is issued (the store handler answers synchronously, so
+  // it is in flight only until the server next runs)...
+  wire::StoreRequest msg = wire::StoreRequest::read("k");
+  auto f_store = client.store_call(0, 1, msg, 64, 32, 16,
+                                   sim::MsgKind::StoreRead,
+                                   sim::MsgKind::StoreAck);
+  // ...then the server process dies before the loop runs again.  The
+  // in-flight requests must surface as retryable results FAST
+  // (transport-synthesized), not hang until some distant caller timeout.
   held.clear();
   server.reset();
   auto invoke_result = drive(loop, f_invoke, 2000);
@@ -424,6 +426,82 @@ TEST(TcpTransport, InflightRequestsFailRetryableWhenConnectionDrops) {
   ASSERT_TRUE(store_result.has_value()) << "in-flight store call silently lost";
   EXPECT_FALSE(store_result->ok);  // a nack: never counted as success
   EXPECT_EQ(store_result->ballot, -1);
+}
+
+TEST(TcpTransport, ReplyReadWithThePeersCloseIsDelivered) {
+  // The server answers and closes before the client reads: the reply and
+  // the FIN then arrive in one wakeup.  The reply frame is exactly one
+  // 16 KiB read chunk, so the client's read loop sees the EOF right after
+  // it (a short read would end the loop before the EOF).
+  sim::Simulation sim(1);
+  EventLoop loop(sim);
+  static constexpr size_t kFrameBytes = 16384;
+  size_t value_bytes =
+      kFrameBytes - wire::encode_response(1, wire::Response(OpStatus::Ok),
+                                          wire::kWireVersionMax)
+                        .size();
+  bool answered = false;
+  auto server = std::make_unique<TcpTransport>(loop);
+  uint16_t port = server->listen_for(
+      1, 0,
+      [&answered, value_bytes](wire::Request, RespondFn respond) {
+        wire::Response resp(OpStatus::Ok);
+        resp.value = Value(std::string(value_bytes, 'r'));
+        ASSERT_EQ(wire::encode_response(1, resp, wire::kWireVersionMax).size(),
+                  kFrameBytes);
+        respond(std::move(resp));
+        answered = true;
+      },
+      nullptr);
+  ASSERT_NE(port, 0);
+  TcpTransport client(loop);
+  client.route(1, "127.0.0.1", port);
+  ASSERT_TRUE(wait_peer_up(loop, client, 1, 3000));
+
+  auto f = client.invoke(100, 1, wire::Request(), 96);
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  while (!answered && std::chrono::steady_clock::now() < deadline) {
+    loop.poll_once(5);
+  }
+  ASSERT_TRUE(answered);
+  // The iteration that served the request also wrote the reply; the
+  // server dies before the client's next read.
+  server.reset();
+  auto resp = drive(loop, f, 2000);
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->status, OpStatus::Ok);  // the real reply, not a nack
+  EXPECT_EQ(resp->value.size(), value_bytes);
+  pump_for(loop, 20);
+  EXPECT_FALSE(client.peer_up(1));  // and the close was still honoured
+}
+
+TEST(TcpTransport, FramesQueuedInOneIterationLeaveInOneWrite) {
+  sim::Simulation sim(1);
+  EventLoop loop(sim);
+  TcpTransport server(loop);
+  TcpTransport client(loop);
+  uint16_t port = server.listen_for(1, 0, echo_server(), nullptr);
+  ASSERT_NE(port, 0);
+  client.route(1, "127.0.0.1", port);
+  ASSERT_TRUE(wait_peer_up(loop, client, 1, 3000));
+  PeerInfo before = client.peer_info().at(0);
+  EXPECT_EQ(before.frames, 1u);  // the Hello
+  EXPECT_EQ(before.writes, 1u);
+
+  std::vector<sim::Future<wire::Response>> fs;
+  for (int i = 0; i < 16; ++i) {
+    wire::Request req(wire::Request::Op::CriticalGet, "k", 7,
+                      Value("p" + std::to_string(i)));
+    fs.push_back(client.invoke(100, 1, req, 96));
+  }
+  for (int i = 0; i < 16; ++i) {
+    auto resp = drive(loop, fs[static_cast<size_t>(i)], 3000);
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->value.data, "p" + std::to_string(i));
+  }
+  PeerInfo after = client.peer_info().at(0);
+  EXPECT_EQ(after.frames - before.frames, 16u);
+  EXPECT_EQ(after.writes - before.writes, 1u);
 }
 
 TEST(TcpTransport, GoodbyeDrainFailsInflightAndReconnects) {

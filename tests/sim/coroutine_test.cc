@@ -232,10 +232,13 @@ TEST(SettleRelease, AwaitWithTimeoutFreesTheValueBeforeTheTimeout) {
   s.run_until(ms(10));
   EXPECT_EQ(got, 7);
   EXPECT_EQ(Counted::live, 0);
-  EXPECT_EQ(s.peek_next_event_at(), sec(1));  // the timer is still pending
+  // Settling cancelled the timer: nothing is left queued or to run.
+  EXPECT_EQ(s.timers_cancelled(), 1u);
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_EQ(s.peek_next_event_at(), kTimeNever);
   s.run_until_idle();
-  EXPECT_EQ(s.now(), sec(1));
-  EXPECT_EQ(s.events_run(), 6u);
+  EXPECT_EQ(s.now(), ms(10));
+  EXPECT_EQ(s.events_run(), 5u);
   EXPECT_EQ(Counted::live, 0);
 }
 
@@ -259,10 +262,12 @@ TEST(SettleRelease, AwaitCountFreesGatheredRepliesBeforeTheTimeout) {
   s.run_until(ms(10));  // the straggler at 300us has arrived too
   EXPECT_EQ(got, (std::vector<int>{0, 1}));
   EXPECT_EQ(Counted::live, 0);
-  EXPECT_EQ(s.peek_next_event_at(), sec(1));
+  EXPECT_EQ(s.timers_cancelled(), 1u);
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_EQ(s.peek_next_event_at(), kTimeNever);
   s.run_until_idle();
-  EXPECT_EQ(s.now(), sec(1));
-  EXPECT_EQ(s.events_run(), 10u);
+  EXPECT_EQ(s.now(), ms(10));
+  EXPECT_EQ(s.events_run(), 9u);
   EXPECT_EQ(Counted::live, 0);
 }
 

@@ -54,16 +54,19 @@ struct Golden {
 };
 
 // Captured on the pre-swap kernel (std::function + std::priority_queue);
-// the arena-heap kernel must reproduce every row bit-identically.
+// the arena-heap kernel reproduced every row bit-identically.  Re-pinned
+// when settled waits began cancelling their timeout timers: only the event
+// count moved (each cancelled timer used to run as a no-op); the
+// fingerprint computed without events_run is unchanged for every row.
 constexpr Golden kGoldens[] = {
-    {1, "11", 7418, 0x4fbfc51cce0219bbull},
-    {2, "11", 7432, 0x179c7ade4a15643aull},
-    {3, "11", 7418, 0xb143aa4469a42f46ull},
-    {4, "11", 7390, 0xbaef5d1acc0dd1c9ull},
-    {1, "lUs", 10816, 0x710085b784dc2c79ull},
-    {2, "lUs", 10766, 0x162c9de99d05802cull},
-    {3, "lUs", 11328, 0xcaf59f79fa84bba7ull},
-    {4, "lUs", 10200, 0xb2808834383243d1ull},
+    {1, "11", 6952, 0x29f6277c7b02f5acull},
+    {2, "11", 6965, 0x68365b67140bde65ull},
+    {3, "11", 6952, 0x32a08b9ecfabc821ull},
+    {4, "11", 6926, 0xc86f20bce1b95e74ull},
+    {1, "lUs", 10150, 0x50064ed4a512721cull},
+    {2, "lUs", 10106, 0x72a5eab77a476a7bull},
+    {3, "lUs", 10632, 0x21bba9e9bc4b5070ull},
+    {4, "lUs", 9566, 0x8eaf244af95809cdull},
 };
 
 sim::LatencyProfile profile_by_name(const std::string& name) {

@@ -173,6 +173,61 @@ TEST(PdesEngine, RunUntilAdvancesEveryLaneToTarget) {
   EXPECT_EQ(sim.events_run(), 1u);
 }
 
+/// Lane 0 arms two far timers (at 5 and 10 ms); later, lane 0 cancels the
+/// earlier one while lane 1, in the same window, tries to cancel the other.  `use_cancel`
+/// off is the twin in which lane 0 only flags its timer as settled.
+struct LaneCancelRun {
+  bool same_ok = false;
+  bool cross_ok = true;
+  int fired_same = 0;
+  int fired_cross = 0;
+  uint64_t events = 0;
+  uint64_t cancelled = 0;
+  uint64_t windows = 0;
+};
+
+LaneCancelRun run_lane_cancel(bool use_cancel) {
+  sim::Simulation sim(1);
+  sim.enable_pdes(pdes(2, 2, sim::us(50)));
+  LaneCancelRun r;
+  sim::TimerId same, cross;
+  bool settled = false;  // lane 0 only
+  sim.schedule_site_at(0, sim::us(10), [&] {
+    same = sim.schedule_timer(sim::ms(5), [&] {
+      if (!settled) ++r.fired_same;
+    });
+    cross = sim.schedule_timer(sim::ms(10), [&] { ++r.fired_cross; });
+  });
+  sim.schedule_site_at(0, sim::ms(1), [&] {
+    settled = true;
+    if (use_cancel) r.same_ok = sim.cancel(same);
+  });
+  sim.schedule_site_at(1, sim::ms(1), [&] { r.cross_ok = sim.cancel(cross); });
+  sim.run_until_idle();
+  r.events = sim.events_run();
+  r.cancelled = sim.timers_cancelled();
+  r.windows = sim.pdes_windows_run();
+  return r;
+}
+
+TEST(PdesEngine, CancelIsLaneConfinedAndKeepsWindowBounds) {
+  LaneCancelRun r = run_lane_cancel(true);
+  EXPECT_TRUE(r.same_ok);
+  EXPECT_EQ(r.fired_same, 0);
+  // Lane 1 cannot reach lane 0's queue: its cancel is a no-op and the
+  // timer fires (TSan, via the pdes label, checks that nothing raced).
+  EXPECT_FALSE(r.cross_ok);
+  EXPECT_EQ(r.fired_cross, 1);
+  EXPECT_EQ(r.cancelled, 1u);
+  EXPECT_EQ(r.events, 4u);
+
+  LaneCancelRun twin = run_lane_cancel(false);
+  EXPECT_EQ(twin.events, 5u);  // the settled timer still ran, as a no-op
+  EXPECT_EQ(twin.cancelled, 0u);
+  // The tombstone bounds windows exactly as the no-op event did.
+  EXPECT_EQ(r.windows, twin.windows);
+}
+
 /// Synthetic worker-invariance scenario: every lane runs a randomized
 /// self-rescheduling chain (drawing from its own lane rng) that sometimes
 /// mails the next lane one-lookahead-plus-jitter ahead.  The fingerprint
@@ -308,8 +363,8 @@ struct Golden {
 // reproduce each row bit-identically.  These differ from the classic-kernel
 // goldens by design (per-lane rng streams).
 constexpr Golden kPdesGoldens[] = {
-    {1, 11001, 0x8b990fbf48681c27ull},
-    {2, 10078, 0x6dc236746cb07eb8ull},
+    {1, 10329, 0x30c9bf54b6f21bcdull},
+    {2, 9450, 0xe12716df545211fdull},
 };
 
 constexpr size_t kWorkerConfigs[] = {1, 2, 4, 8};

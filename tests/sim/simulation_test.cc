@@ -262,5 +262,182 @@ TEST(Simulation, StressOrderingMatchesReferenceModel) {
   }
 }
 
+// ---- Timer cancellation -----------------------------------------------------
+
+TEST(Cancel, FarTimerNeverRunsIsNotCountedAndFreesCapturesAtCancel) {
+  EventProbe::live = 0;
+  std::vector<int> order;
+  Simulation s;
+  s.schedule(10, [&order] { order.push_back(0); });
+  TimerId t = s.schedule_timer(sec(1), EventProbe(&order, 1));
+  ASSERT_TRUE(t);
+  EXPECT_EQ(EventProbe::live, 1);
+  EXPECT_EQ(s.pending(), 2u);
+  EXPECT_TRUE(s.cancel(t));
+  EXPECT_EQ(EventProbe::live, 0);  // captures destroyed at cancel, not later
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_EQ(s.timers_cancelled(), 1u);
+  EXPECT_FALSE(s.cancel(t));  // a second cancel is a no-op
+  s.run_until_idle();
+  EXPECT_EQ(order, std::vector<int>{0});
+  EXPECT_EQ(s.events_run(), 1u);
+  EXPECT_EQ(s.now(), 10);  // the cancelled timer did not move the clock
+  EXPECT_EQ(s.timers_cancelled(), 1u);
+}
+
+TEST(Cancel, AfterTheTimerFiredIsANoOp) {
+  Simulation s;
+  int fired = 0;
+  TimerId t = s.schedule_timer(ms(5), [&fired] { ++fired; });
+  ASSERT_TRUE(t);
+  s.run_until_idle();
+  EXPECT_EQ(fired, 1);
+  // The slot is vacant now, then reused by a later far event: neither may
+  // be mistaken for the fired timer.
+  EXPECT_FALSE(s.cancel(t));
+  int later = 0;
+  s.schedule(ms(5), [&later] { ++later; });
+  EXPECT_FALSE(s.cancel(t));
+  s.run_until_idle();
+  EXPECT_EQ(later, 1);
+  EXPECT_EQ(s.events_run(), 2u);
+  EXPECT_EQ(s.timers_cancelled(), 0u);
+}
+
+TEST(Cancel, FromInsideTheTimersOwnCallbackIsANoOp) {
+  Simulation s;
+  TimerId t;
+  bool cancelled = true;
+  t = s.schedule_timer(ms(5), [&] { cancelled = s.cancel(t); });
+  s.run_until_idle();
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(s.events_run(), 1u);
+}
+
+TEST(Cancel, NearTimerGetsAnEmptyHandleAndRuns) {
+  Simulation s;
+  int fired = 0;
+  TimerId t = s.schedule_timer(Simulation::kWheelTicks - 1, [&] { ++fired; });
+  EXPECT_FALSE(t);
+  EXPECT_FALSE(s.cancel(t));
+  EXPECT_FALSE(s.cancel(TimerId()));
+  s.run_until_idle();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(Cancel, CompactionKeepsSurvivorsInOrder) {
+  Simulation s;
+  std::vector<int> order;
+  std::vector<TimerId> ids;
+  // Equal timestamps in pairs, so compaction must keep the seq tie-break.
+  for (int i = 0; i < 100; ++i) {
+    ids.push_back(s.schedule_timer(ms(10) + (99 - i) / 2,
+                                   [&order, i] { order.push_back(i); }));
+  }
+  // Cancel 60 (never the front), which passes half the heap mid-way.
+  for (int i = 0; i < 100; ++i) {
+    if (i % 5 < 3) {
+      ASSERT_TRUE(s.cancel(ids[static_cast<size_t>(i)]));
+    }
+  }
+  EXPECT_EQ(s.pending(), 40u);
+  s.run_until_idle();
+  std::vector<int> expected;
+  for (int i = 98; i >= 0; i -= 2) {
+    for (int j : {i, i + 1}) {
+      if (j % 5 >= 3) expected.push_back(j);
+    }
+  }
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(s.events_run(), 40u);
+}
+
+/// One run of the cancellation property workload.  Live events draw every
+/// decision from `gen` and log (now, id); timers that the workload cancels
+/// are also flagged, so a timer that still runs (cancel unavailable or
+/// `use_cancel` off) is a no-op that draws and logs nothing.  With
+/// `use_cancel` off the run is the twin in which every cancelled timer
+/// fires as that no-op — exactly what the kernel did before cancel().
+struct CancelRun {
+  std::vector<std::pair<Time, int>> log;
+  uint64_t events_run = 0;
+  uint64_t timers_cancelled = 0;
+  uint64_t cancels_ok = 0;
+};
+
+CancelRun run_cancel_workload(uint32_t seed, bool use_cancel) {
+  Simulation s;
+  std::mt19937 gen(seed);
+  CancelRun out;
+  struct Timer {
+    TimerId id;
+    bool cancelled = false;
+  };
+  std::vector<Timer> timers;
+  int next_id = 0;
+  int budget = 4000;
+  // Delays mix ties (0), wheel-range hops and far-heap timeouts, so heap
+  // pops, wheel pops and stale tombstones interleave at equal timestamps.
+  auto delay = [&gen]() -> Duration {
+    switch (gen() % 4) {
+      case 0: return 0;
+      case 1: return static_cast<Duration>(gen() % 64);
+      case 2: return static_cast<Duration>(gen() % Simulation::kWheelTicks);
+      default: return static_cast<Duration>(2000 + gen() % 20000);
+    }
+  };
+  // Timeouts: mostly far and long, like an RPC's, so most are still
+  // pending when the workload cancels them.
+  auto timeout = [&gen, &delay]() -> Duration {
+    return gen() % 4 == 0 ? delay()
+                          : static_cast<Duration>(2000 + gen() % 200000);
+  };
+  std::function<void()> live_event;
+  live_event = [&] {
+    out.log.emplace_back(s.now(), next_id++);
+    if (--budget <= 0) return;
+    int children = static_cast<int>(gen() % 3);
+    for (int c = 0; c < children; ++c) s.schedule(delay(), [&] { live_event(); });
+    // Arm a timeout most of the time and cancel most of them (enough that
+    // tombstones pass half the heap and force compactions).
+    if (gen() % 4 != 0) {
+      size_t idx = timers.size();
+      timers.push_back(Timer{});
+      timers[idx].id = s.schedule_timer(timeout(), [&, idx] {
+        if (timers[idx].cancelled) return;  // settled: a no-op, as before
+        live_event();
+      });
+    }
+    if (!timers.empty() && gen() % 3 != 0) {
+      size_t recent = std::min<size_t>(timers.size(), 8);
+      Timer& t = timers[timers.size() - 1 - gen() % recent];
+      t.cancelled = true;
+      if (use_cancel && s.cancel(t.id)) ++out.cancels_ok;
+    }
+  };
+  for (int i = 0; i < 8; ++i) s.schedule(delay(), [&] { live_event(); });
+  s.run_until_idle();
+  EXPECT_EQ(s.pending(), 0u);
+  out.events_run = s.events_run();
+  out.timers_cancelled = s.timers_cancelled();
+  return out;
+}
+
+TEST(Cancel, PropertyLiveEventsMatchANoOpTimerTwin) {
+  for (uint32_t seed = 1; seed <= 12; ++seed) {
+    CancelRun twin = run_cancel_workload(seed, false);
+    CancelRun run = run_cancel_workload(seed, true);
+    // Same live events, in the same (at, seq) order, at the same now().
+    ASSERT_EQ(run.log, twin.log) << "seed " << seed;
+    // ~1.4k cancels per seed; tombstones pass half the heap 1-3 times.
+    EXPECT_GT(run.cancels_ok, 1000u) << "seed " << seed;
+    EXPECT_EQ(run.timers_cancelled, run.cancels_ok);
+    EXPECT_EQ(twin.timers_cancelled, 0u);
+    // Each successful cancel removed exactly one (no-op) event.
+    EXPECT_EQ(run.events_run + run.cancels_ok, twin.events_run)
+        << "seed " << seed;
+  }
+}
+
 }  // namespace
 }  // namespace music::sim

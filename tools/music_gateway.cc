@@ -70,8 +70,9 @@ music::sim::Task<void> serve_music(music::rest::RestGateway* gw,
 }
 
 /// The transport's per-route handshake/churn diagnostics as a JSON array:
-/// which wire version each musicd connection negotiated, and how many
-/// times the route has re-established (rolling restarts show up here).
+/// which wire version each musicd connection negotiated, how many times
+/// the route has re-established (rolling restarts show up here), and how
+/// many frames left in how many writes.
 music::rest::Json peers_json(const music::net::TcpTransport& tcp) {
   music::rest::Json arr;
   for (const music::net::PeerInfo& p : tcp.peer_info()) {
@@ -82,6 +83,8 @@ music::rest::Json peers_json(const music::net::TcpTransport& tcp) {
     entry.set("reconnects", static_cast<int64_t>(p.reconnects));
     entry.set("handshake_failures",
               static_cast<int64_t>(p.handshake_failures));
+    entry.set("frames", static_cast<int64_t>(p.frames));
+    entry.set("writes", static_cast<int64_t>(p.writes));
     arr.push(std::move(entry));
   }
   return arr;
@@ -181,6 +184,8 @@ int main(int argc, char** argv) {
             reg.set(pre + ".wire_version", p.wire_version);
             reg.set(pre + ".reconnects", p.reconnects);
             reg.set(pre + ".handshake_failures", p.handshake_failures);
+            reg.set(pre + ".frames", p.frames);
+            reg.set(pre + ".writes", p.writes);
           }
           reg.set("loop.now_us", static_cast<uint64_t>(sim.now()));
           net::HttpResponse r;

@@ -9,7 +9,12 @@
 //
 // Every process constructs the FULL world (3 store nodes + 3 MUSIC
 // replicas) in the same order, so node ids agree across processes; only the
-// hosted site's replicas are served, the rest are inert locals.  Port
+// hosted site's replicas are served, the rest are inert locals.  Unlike a
+// sim world, the store carries no modelled service cost: the sim charges
+// each store message a calibrated 190us CassaEV hop, but here the
+// process's real CPU and syscalls are the serving cost, so adding the
+// model on top would count it twice (and only for local reads, since
+// remote store requests are served inline by the transport).  Port
 // layout is explicit and symmetric — each process gets the whole map:
 //
 //   musicd --site 1 --store-ports 7001,7002,7003 --music-ports 7101,7102,7103
@@ -203,8 +208,10 @@ int main(int argc, char** argv) {
   net::TcpTransport tcp(loop, topt);
   sim::Network net(sim, sim::NetworkConfig{});  // id registry only; the
                                                 // fabric is the TcpTransport
-  ds::StoreCluster store(sim, net, ds::StoreConfig{},
-                         std::vector<int>{0, 1, 2}, &tcp);
+  // The process's real CPU is its serving cost: no modelled service time.
+  ds::StoreConfig store_cfg;
+  store_cfg.service = sim::ServiceConfig{8, 0, 0.0};
+  ds::StoreCluster store(sim, net, store_cfg, std::vector<int>{0, 1, 2}, &tcp);
   ls::LockStore locks(store);
   std::vector<std::unique_ptr<core::MusicReplica>> reps;
   for (int s = 0; s < kSites; ++s) {
