@@ -16,7 +16,6 @@
 #include <memory>
 
 #include "common.h"
-#include "lockstore/raft_lockstore.h"
 
 using namespace music;
 using namespace music::bench;
@@ -27,7 +26,7 @@ constexpr uint64_t kSeed = 99;
 
 CellResult amortization_cell(const sim::LatencyProfile& lus, int batch) {
   WallTimer wall;
-  MusicWorld w(kSeed, lus, core::PutMode::Quorum, 3, 1);
+  MusicWorld w(paper_world(kSeed, lus, core::PutMode::Quorum, 3, 1));
   auto workload =
       std::make_shared<wl::MusicCsWorkload>(w.client_ptrs(), "a", batch, 10);
   CellResult out;
@@ -39,7 +38,7 @@ CellResult amortization_cell(const sim::LatencyProfile& lus, int batch) {
 
 CellResult lwt_cell(const sim::LatencyProfile& lus, int batch) {
   WallTimer wall;
-  MusicWorld w(kSeed, lus, core::PutMode::Quorum, 3, 1);
+  MusicWorld w(paper_world(kSeed, lus, core::PutMode::Quorum, 3, 1));
   auto workload =
       std::make_shared<wl::MusicCsWorkload>(w.client_ptrs(), "l", batch, 10);
   CellResult out;
@@ -52,28 +51,17 @@ CellResult lwt_cell(const sim::LatencyProfile& lus, int batch) {
 // Raft backend: same data store, lock queues on a Raft KV.
 CellResult raft_cell(const sim::LatencyProfile& lus, int batch) {
   WallTimer wall;
-  sim::Simulation s(kSeed);
-  sim::NetworkConfig nc;
-  nc.profile = lus;
-  sim::Network net(s, nc);
-  ds::StoreCluster store(s, net, ds::StoreConfig{}, {0, 1, 2});
-  raftkv::RaftCluster raft(s, net, raftkv::RaftConfig{}, {0, 1, 2});
-  raft.start();
-  raft.wait_for_leader();
-  ls::RaftLockStore locks(raft);
-  std::vector<std::unique_ptr<core::MusicReplica>> reps;
-  for (int site = 0; site < 3; ++site) {
-    reps.push_back(std::make_unique<core::MusicReplica>(
-        store, locks, core::MusicConfig{}, site));
-  }
-  std::vector<core::MusicReplica*> prefs{reps[0].get(), reps[1].get(),
-                                         reps[2].get()};
-  core::MusicClient client(s, net, prefs, core::ClientConfig{}, 0);
-  auto workload = std::make_shared<wl::MusicCsWorkload>(
-      std::vector<core::MusicClient*>{&client}, "r", batch, 10);
+  world::Options opt;
+  opt.seed = kSeed;
+  opt.net.profile = lus;
+  opt.locks = world::LockBackend::Raft;
+  opt.client_sites = {0};
+  MusicWorld w(opt);
+  auto workload = std::make_shared<wl::MusicCsWorkload>(w.client_ptrs(), "r",
+                                                       batch, 10);
   CellResult out;
-  out.run = wl::run_sequential(s, workload, 6, sim::sec(3600));
-  out.events = s.events_run();
+  out.run = wl::run_sequential(w.sim, workload, 6, sim::sec(3600));
+  out.events = w.sim.events_run();
   out.wall_sec = wall.elapsed_sec();
   return out;
 }
@@ -90,7 +78,7 @@ int main() {
   hr();
   {
     WallTimer wall;
-    MusicWorld w(kSeed, lus, core::PutMode::Quorum, 3, 1);
+    MusicWorld w(paper_world(kSeed, lus, core::PutMode::Quorum, 3, 1));
     wl::Samples local_peek, quorum_peek;
     bool done = false;
     sim::spawn(w.sim, [](MusicWorld& world, wl::Samples& lp, wl::Samples& qp,
@@ -135,7 +123,7 @@ int main() {
     // At the timestamp level: the forced set must beat every reset stamped
     // under r.  With delta=0 it ties r's latest possible reset and loses
     // (LWW keeps the reset): the next holder would skip synchronization.
-    MusicWorld w(kSeed, lus, core::PutMode::Quorum, 3, 1, sim::sec(60));
+    MusicWorld w(paper_world(kSeed, lus, core::PutMode::Quorum, 3, 1, sim::sec(60)));
     for (auto& r : w.replicas) {
       // Reach into config via a fresh replica set would be cleaner; the
       // MusicConfig is fixed at construction, so demonstrate with the V2S

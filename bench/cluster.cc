@@ -65,7 +65,7 @@ class ClusterSweepWorkload : public wl::Workload {
   sim::Task<bool> run_once(int cid) override {
     auto& c = *clients_[static_cast<size_t>(cid) % clients_.size()];
     // Built stepwise: GCC 12 -Werror=restrict mis-fires on literal +
-    // to_string rvalue concats inside coroutine frames (see CdbWorld).
+    // to_string rvalue concats inside coroutine frames (see world::CdbWorld).
     Key key = "u";
     key += std::to_string(cid);
     key += "/k";
@@ -108,28 +108,23 @@ struct SweepCell {
 
 SweepCell run_one(const SweepConfig& cfg) {
   WallTimer wall;
-  sim::Simulation sim(cfg.seed);
-  sim::NetworkConfig nc;
-  nc.profile = sim::LatencyProfile::uniform(3, 1.0, 0.2);  // "local"
-  sim::Network net(sim, nc);
-
-  cluster::ClusterConfig cc;
-  cc.shards = cfg.shards;
+  world::Options opt;
+  opt.seed = cfg.seed;
+  opt.net.profile = sim::LatencyProfile::uniform(3, 1.0, 0.2);  // "local"
   // Pre-size for the hot head of every client's range; the Zipfian tail
   // rarely materialises inside the window, so rehashing stays off the
   // measured path.
-  cc.store.expected_keys = 1 << 15;
-  cc.music.holder_timeout = sim::sec(8);
-  cc.music.fd_interval = sim::sec(2);
-  cluster::Cluster cluster(sim, net, cc);
+  opt.store.expected_keys = 1 << 15;
+  opt.music.holder_timeout = sim::sec(8);
+  opt.music.fd_interval = sim::sec(2);
+  opt.failure_detector = true;
+  for (int i = 0; i < cfg.clients; ++i) opt.client_sites.push_back(i % 3);
+  world::ClusterWorld cw(opt, cfg.shards);
+  sim::Simulation& sim = cw.sim;
+  cluster::Cluster& cluster = cw.cluster;
 
-  std::vector<std::unique_ptr<cluster::Client>> clients;
-  clients.reserve(static_cast<size_t>(cfg.clients));
-  for (int i = 0; i < cfg.clients; ++i) {
-    clients.push_back(std::make_unique<cluster::Client>(cluster, i % 3));
-  }
   auto w = std::make_shared<ClusterSweepWorkload>(
-      std::move(clients), cfg.keys_per_client, cfg.theta, cfg.value_size,
+      std::move(cw.clients), cfg.keys_per_client, cfg.theta, cfg.value_size,
       cfg.seed ^ 0xC1A57E12ull);
 
   wl::DriverConfig dcfg;

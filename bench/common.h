@@ -1,5 +1,6 @@
-// Shared plumbing for the benchmark harness: deployment builders matching
-// the paper's methodology (§VIII-a) and table/CSV output helpers.
+// Shared plumbing for the benchmark harness: world options matching the
+// paper's methodology (§VIII-a; worlds themselves come from world/world.h)
+// and table/CSV output helpers.
 //
 // Methodology mapping:
 //   * 3 logical sites, WAN latencies from Table II       -> sim::Network
@@ -21,21 +22,17 @@
 #include <utility>
 #include <vector>
 
-#include "core/client.h"
 #include "core/music.h"
-#include "datastore/store.h"
-#include "lockstore/lockstore.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "par/par.h"
-#include "raftkv/txkv.h"
 #include "sim/network.h"
 #include "sim/simulation.h"
 #include "workload/driver.h"
 #include "workload/runners.h"
 #include "workload/ycsb.h"
-#include "zab/zab.h"
+#include "world/world.h"
 
 namespace music::bench {
 
@@ -209,143 +206,33 @@ struct ObsSession {
   sim::Simulation& sim_;
 };
 
-/// A full MUSIC deployment with per-site clients.
-struct MusicWorld {
-  sim::Simulation sim;
-  sim::Network net;
-  ds::StoreCluster store;
-  ls::LockStore locks;
-  std::vector<std::unique_ptr<core::MusicReplica>> replicas;
-  std::vector<std::unique_ptr<core::MusicClient>> clients;
+using world::CdbWorld;
+using world::MusicWorld;
+using world::ZkWorld;
 
-  MusicWorld(uint64_t seed, const sim::LatencyProfile& profile,
-             core::PutMode mode, int store_nodes, int clients_per_site,
-             sim::Duration t_max_cs = sim::sec(3600))
-      : sim(seed),
-        net(sim,
-            [&] {
-              sim::NetworkConfig c;
-              c.profile = profile;
-              return c;
-            }()),
-        store(sim, net,
-              [&] {
-                ds::StoreConfig c;
-                // Workload hint: per-client key ranges plus lock tables stay
-                // comfortably under this; replicas pre-size their tables so
-                // steady-state writes never rehash.
-                c.expected_keys = 4096;
-                return c;
-              }(),
-              node_sites(store_nodes)),
-        locks(store) {
-    core::MusicConfig mc;
-    mc.put_mode = mode;
-    mc.t_max_cs = t_max_cs;  // large: benches run long batch sections
-    mc.holder_timeout = sim::sec(8);  // orphan-lockRef collection
-    mc.fd_interval = sim::sec(2);
-    for (int site = 0; site < 3; ++site) {
-      replicas.push_back(
-          std::make_unique<core::MusicReplica>(store, locks, mc, site));
-      replicas.back()->start_failure_detector();
-    }
-    for (int site = 0; site < 3; ++site) {
-      for (int i = 0; i < clients_per_site; ++i) {
-        std::vector<core::MusicReplica*> prefs{
-            replicas[static_cast<size_t>(site)].get()};
-        for (int j = 0; j < 3; ++j) {
-          if (j != site) prefs.push_back(replicas[static_cast<size_t>(j)].get());
-        }
-        clients.push_back(std::make_unique<core::MusicClient>(
-            sim, net, prefs, core::ClientConfig{}, site));
-      }
-    }
-  }
-
-  std::vector<core::MusicClient*> client_ptrs() {
-    std::vector<core::MusicClient*> v;
-    v.reserve(clients.size());
-    for (auto& c : clients) v.push_back(c.get());
-    return v;
-  }
-
-  static std::vector<int> node_sites(int n) {
-    std::vector<int> v;
-    for (int i = 0; i < n; ++i) v.push_back(i % 3);
-    return v;
-  }
-};
-
-/// A Zookeeper deployment with per-site clients.
-struct ZkWorld {
-  sim::Simulation sim;
-  sim::Network net;
-  zab::ZabEnsemble ens;
-  std::vector<std::unique_ptr<zab::ZkClient>> clients;
-
-  ZkWorld(uint64_t seed, const sim::LatencyProfile& profile,
-          int clients_per_site)
-      : sim(seed),
-        net(sim,
-            [&] {
-              sim::NetworkConfig c;
-              c.profile = profile;
-              return c;
-            }()),
-        ens(sim, net, zab::ZabConfig{}, {0, 1, 2}) {
-    ens.start();
-    for (int site = 0; site < 3; ++site) {
-      for (int i = 0; i < clients_per_site; ++i) {
-        clients.push_back(std::make_unique<zab::ZkClient>(ens, site));
-      }
-    }
-  }
-
-  std::vector<zab::ZkClient*> client_ptrs() {
-    std::vector<zab::ZkClient*> v;
-    for (auto& c : clients) v.push_back(c.get());
-    return v;
-  }
-};
-
-/// A CockroachDB-substitute deployment with per-site transaction clients.
-struct CdbWorld {
-  sim::Simulation sim;
-  sim::Network net;
-  raftkv::RaftCluster cluster;
-  std::vector<std::unique_ptr<raftkv::TxClient>> clients;
-
-  CdbWorld(uint64_t seed, const sim::LatencyProfile& profile,
-           int clients_per_site)
-      : sim(seed),
-        net(sim,
-            [&] {
-              sim::NetworkConfig c;
-              c.profile = profile;
-              return c;
-            }()),
-        cluster(sim, net, raftkv::RaftConfig{}, {0, 1, 2}) {
-    cluster.start();
-    cluster.wait_for_leader();
-    int id = 0;
-    for (int site = 0; site < 3; ++site) {
-      for (int i = 0; i < clients_per_site; ++i) {
-        // Built stepwise: GCC 12 mis-fires -Werror=restrict on literal +
-        // to_string rvalue concats once this ctor is inlined into callers.
-        std::string name = "c";
-        name += std::to_string(id++);
-        clients.push_back(
-            std::make_unique<raftkv::TxClient>(cluster, site, name));
-      }
-    }
-  }
-
-  std::vector<raftkv::TxClient*> client_ptrs() {
-    std::vector<raftkv::TxClient*> v;
-    for (auto& c : clients) v.push_back(c.get());
-    return v;
-  }
-};
+/// The paper's methodology as world options: `clients_per_site` clients at
+/// each site, grouped by site; the production failure detector with an 8 s
+/// holder timeout; tables pre-sized for the workloads' key ranges so
+/// steady-state writes never rehash; and a large T bound by default, as
+/// benches run long batch sections.
+inline world::Options paper_world(uint64_t seed,
+                                  const sim::LatencyProfile& profile,
+                                  core::PutMode mode, int store_nodes,
+                                  int clients_per_site,
+                                  sim::Duration t_max_cs = sim::sec(3600)) {
+  world::Options o;
+  o.seed = seed;
+  o.net.profile = profile;
+  o.store_nodes = store_nodes;
+  o.store.expected_keys = 4096;
+  o.music.put_mode = mode;
+  o.music.t_max_cs = t_max_cs;
+  o.music.holder_timeout = sim::sec(8);
+  o.music.fd_interval = sim::sec(2);
+  o.failure_detector = true;
+  o.client_sites = world::grouped_sites(clients_per_site);
+  return o;
+}
 
 /// CSV sink: every bench writes its series next to the binary output.
 class Csv {

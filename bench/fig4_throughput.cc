@@ -26,7 +26,7 @@ constexpr uint64_t kSeed = 42;
 CellResult run_music(const sim::LatencyProfile& profile, core::PutMode mode,
                      int nodes, int clients_per_site = kMusicClientsPerSite) {
   WallTimer wall;
-  MusicWorld w(kSeed, profile, mode, nodes, clients_per_site);
+  MusicWorld w(paper_world(kSeed, profile, mode, nodes, clients_per_site));
   auto workload =
       std::make_shared<wl::MusicCsWorkload>(w.client_ptrs(), "bench", 1, 10);
   wl::DriverConfig cfg;

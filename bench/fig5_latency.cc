@@ -32,7 +32,7 @@ CellResult music_latency(const sim::LatencyProfile& profile,
   WallTimer wall;
   CellResult out;
   for (int site = 0; site < 3; ++site) {
-    MusicWorld w(kSeed + static_cast<uint64_t>(site), profile, mode, 3, 1);
+    MusicWorld w(paper_world(kSeed + static_cast<uint64_t>(site), profile, mode, 3, 1));
     auto clients = w.client_ptrs();
     std::rotate(clients.begin(), clients.begin() + site, clients.end());
     auto workload =
@@ -150,7 +150,7 @@ int main() {
   auto lus = sim::LatencyProfile::profile_lus();
   for (auto mode : {core::PutMode::Quorum, core::PutMode::Lwt}) {
     WallTimer wall;
-    MusicWorld w(kSeed, lus, mode, 3, 1);
+    MusicWorld w(paper_world(kSeed, lus, mode, 3, 1));
     Breakdown bd;
     bool done = false;
     sim::spawn(w.sim, [](MusicWorld& world, Breakdown& b, bool& d) -> sim::Task<void> {

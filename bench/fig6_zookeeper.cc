@@ -26,7 +26,7 @@ constexpr uint64_t kSeed = 13;
 /// Writes/s for a MUSIC/MSCP critical section of `batch` puts.
 CellResult music_writes(core::PutMode mode, int batch, size_t vsize) {
   WallTimer wall;
-  MusicWorld w(kSeed, sim::LatencyProfile::profile_lus(), mode, 3, 86);
+  MusicWorld w(paper_world(kSeed, sim::LatencyProfile::profile_lus(), mode, 3, 86));
   auto workload = std::make_shared<wl::MusicCsWorkload>(w.client_ptrs(),
                                                         "zk", batch, vsize);
   wl::DriverConfig cfg;
@@ -45,7 +45,7 @@ CellResult music_writes(core::PutMode mode, int batch, size_t vsize) {
 /// Writes/s for plain Zookeeper setData writes in batches of `batch`.
 CellResult zk_writes(int batch, size_t vsize) {
   WallTimer wall;
-  ZkWorld w(kSeed, sim::LatencyProfile::profile_lus(), 86);
+  ZkWorld w(paper_world(kSeed, sim::LatencyProfile::profile_lus(), core::PutMode::Quorum, 3, 86));
   auto workload =
       std::make_shared<wl::ZkWriteWorkload>(w.client_ptrs(), "/z", batch, vsize);
   wl::DriverConfig cfg;

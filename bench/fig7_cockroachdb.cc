@@ -22,8 +22,8 @@ constexpr uint64_t kSeed = 21;
 
 CellResult music_cs(int batch, size_t vsize) {
   WallTimer wall;
-  MusicWorld w(kSeed, sim::LatencyProfile::profile_lus(),
-               core::PutMode::Quorum, 3, 1);
+  MusicWorld w(paper_world(kSeed, sim::LatencyProfile::profile_lus(),
+               core::PutMode::Quorum, 3, 1));
   auto workload =
       std::make_shared<wl::MusicCsWorkload>(w.client_ptrs(), "cs", batch, vsize);
   CellResult out;
@@ -36,7 +36,7 @@ CellResult music_cs(int batch, size_t vsize) {
 
 CellResult cdb_cs(int batch, size_t vsize) {
   WallTimer wall;
-  CdbWorld w(kSeed, sim::LatencyProfile::profile_lus(), 1);
+  CdbWorld w(paper_world(kSeed, sim::LatencyProfile::profile_lus(), core::PutMode::Quorum, 3, 1));
   auto workload =
       std::make_shared<wl::CdbCsWorkload>(w.client_ptrs(), "cs", batch, vsize);
   CellResult out;

@@ -30,7 +30,7 @@ CdfCell collect(const CdfConfig& cfg) {
   WallTimer wall;
   auto profile = cfg.pname == "11" ? sim::LatencyProfile::profile_11()
                                    : sim::LatencyProfile::profile_lus();
-  MusicWorld w(33, profile, cfg.mode, 3, 1);
+  MusicWorld w(paper_world(33, profile, cfg.mode, 3, 1));
   auto workload =
       std::make_shared<wl::MusicCsWorkload>(w.client_ptrs(), "cdf", 1, 10);
   CdfCell out;

@@ -49,8 +49,8 @@ struct YcsbResult {
 
 YcsbCell run_one(const YcsbConfig& cfg) {
   WallTimer wall;
-  MusicWorld w(cfg.seed, sim::LatencyProfile::profile_lus(), cfg.mode, 3,
-               kClientsPerSite);
+  MusicWorld w(paper_world(cfg.seed, sim::LatencyProfile::profile_lus(), cfg.mode, 3,
+               kClientsPerSite));
   auto workload = std::make_shared<wl::YcsbWorkload>(
       w.client_ptrs(), cfg.mix, kRecords, 10, cfg.seed * 97);
   wl::DriverConfig dcfg;

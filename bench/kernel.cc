@@ -238,7 +238,7 @@ int main(int argc, char** argv) {
 
   // Paired reps: each rep runs baseline then fastpath back to back, so a
   // slow host window hits both and the per-rep ratio stays meaningful.
-  // The median-ratio rep is reported — robust against a contended rep in
+  // The median ratio is the speedup — robust against a contended rep in
   // either direction, with no cherry-picking toward a fast one.
   constexpr int kReps = 5;
   KernelStats bases[kReps];
@@ -260,13 +260,24 @@ int main(int argc, char** argv) {
   };
   std::sort(order, order + kReps,
             [&](int a, int b) { return ratio(a) < ratio(b); });
-  int med = order[kReps / 2];
-  KernelStats base = bases[med];
-  KernelStats fast = fasts[med];
+  double speedup = ratio(order[kReps / 2]);
+  // Each kernel's own rate is its median rep: the events/sec headline CI
+  // holds against the committed baseline moves with host load, and one
+  // rep (single runs of one binary spread 20-32M events/s) cannot pin it.
+  auto median = [](KernelStats* runs) {
+    KernelStats sorted[kReps];
+    std::copy(runs, runs + kReps, sorted);
+    std::sort(sorted, sorted + kReps,
+              [](const KernelStats& a, const KernelStats& b) {
+                return a.events_per_sec < b.events_per_sec;
+              });
+    return sorted[kReps / 2];
+  };
+  KernelStats base = median(bases);
+  KernelStats fast = median(fasts);
   print_stats("baseline", base);
   print_stats("fastpath", fast);
 
-  double speedup = fast.events_per_sec / base.events_per_sec;
   std::printf("speedup: %.2fx events/sec\n", speedup);
   write_json(base, fast, speedup);
 

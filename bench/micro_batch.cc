@@ -29,8 +29,8 @@ constexpr uint64_t kSeed = 41;
 /// the Session API.  Returns the rolled-up WAN round trips of the flush
 /// (the "client.batch" root span) via the registry, or ~0 on failure.
 uint64_t batched_put_rtts(int n) {
-  MusicWorld w(kSeed, sim::LatencyProfile::profile_luseu(),
-               core::PutMode::Quorum, 3, 1);
+  MusicWorld w(paper_world(kSeed, sim::LatencyProfile::profile_luseu(),
+               core::PutMode::Quorum, 3, 1));
   ObsSession obs(w.sim);
   bool done = false;
   sim::spawn(w.sim, [](MusicWorld& world, int puts,
@@ -58,8 +58,8 @@ uint64_t batched_put_rtts(int n) {
 /// summed round trips of all "client.critical_put" spans (one quorum round
 /// each in Quorum mode).
 uint64_t unbatched_put_rtts(int n) {
-  MusicWorld w(kSeed, sim::LatencyProfile::profile_luseu(),
-               core::PutMode::Quorum, 3, 1);
+  MusicWorld w(paper_world(kSeed, sim::LatencyProfile::profile_luseu(),
+               core::PutMode::Quorum, 3, 1));
   ObsSession obs(w.sim);
   bool done = false;
   sim::spawn(w.sim, [](MusicWorld& world, int puts,
@@ -101,8 +101,8 @@ bool check_batching_rtts() {
 
 CellResult cs_latency(int batch, bool batched, int iters) {
   WallTimer wall;
-  MusicWorld w(kSeed, sim::LatencyProfile::profile_lus(),
-               core::PutMode::Quorum, 3, 1);
+  MusicWorld w(paper_world(kSeed, sim::LatencyProfile::profile_lus(),
+               core::PutMode::Quorum, 3, 1));
   std::shared_ptr<wl::Workload> workload;
   if (batched) {
     workload = std::make_shared<wl::MusicBatchCsWorkload>(w.client_ptrs(), "m",
@@ -120,8 +120,8 @@ CellResult cs_latency(int batch, bool batched, int iters) {
 
 CellResult cs_throughput(int batch, bool batched) {
   WallTimer wall;
-  MusicWorld w(kSeed, sim::LatencyProfile::profile_lus(),
-               core::PutMode::Quorum, 3, 3);
+  MusicWorld w(paper_world(kSeed, sim::LatencyProfile::profile_lus(),
+               core::PutMode::Quorum, 3, 3));
   std::shared_ptr<wl::Workload> workload;
   if (batched) {
     workload = std::make_shared<wl::MusicBatchCsWorkload>(w.client_ptrs(), "m",

@@ -19,7 +19,7 @@ namespace {
 /// Runs `n` full critical sections and returns total simulated seconds.
 double run_sections(core::PutMode mode, const sim::LatencyProfile& profile,
                     int batch, int n) {
-  MusicWorld w(1234, profile, mode, 3, 1);
+  MusicWorld w(paper_world(1234, profile, mode, 3, 1));
   auto workload =
       std::make_shared<wl::MusicCsWorkload>(w.client_ptrs(), "mb", batch, 10);
   auto r = wl::run_sequential(w.sim, workload, n, sim::sec(7200));

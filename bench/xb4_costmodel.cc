@@ -36,8 +36,8 @@ uint64_t root_rtts(const obs::Tracer& t, const char* name) {
 /// accept, commit), acquireLock is one quorum read of the synchFlag (1),
 /// criticalPut in Quorum mode is one quorum round (1), criticalGet one (1).
 bool check_rtt_counts() {
-  MusicWorld w(kSeed, sim::LatencyProfile::profile_luseu(),
-               core::PutMode::Quorum, 3, 1);
+  MusicWorld w(paper_world(kSeed, sim::LatencyProfile::profile_luseu(),
+               core::PutMode::Quorum, 3, 1));
   ObsSession obs(w.sim);
   auto& cl = *w.clients.front();
   bool done = false;
@@ -84,8 +84,8 @@ bool check_rtt_counts() {
 
 CellResult music_cs(int batch) {
   WallTimer wall;
-  MusicWorld w(kSeed, sim::LatencyProfile::profile_lus(),
-               core::PutMode::Quorum, 3, 1);
+  MusicWorld w(paper_world(kSeed, sim::LatencyProfile::profile_lus(),
+               core::PutMode::Quorum, 3, 1));
   auto workload =
       std::make_shared<wl::MusicCsWorkload>(w.client_ptrs(), "m", batch, 10);
   CellResult out;
@@ -97,7 +97,7 @@ CellResult music_cs(int batch) {
 
 CellResult cdb_cs(int batch) {
   WallTimer wall;
-  CdbWorld w(kSeed, sim::LatencyProfile::profile_lus(), 1);
+  CdbWorld w(paper_world(kSeed, sim::LatencyProfile::profile_lus(), core::PutMode::Quorum, 3, 1));
   auto workload =
       std::make_shared<wl::CdbCsWorkload>(w.client_ptrs(), "m", batch, 10);
   CellResult out;
@@ -118,8 +118,8 @@ int main() {
   // Use the measured single-op costs as C and Q.
   double q_ms = 0, c_ms = 0;
   {
-    MusicWorld w(kSeed, sim::LatencyProfile::profile_lus(),
-                 core::PutMode::Quorum, 3, 1);
+    MusicWorld w(paper_world(kSeed, sim::LatencyProfile::profile_lus(),
+                 core::PutMode::Quorum, 3, 1));
     auto& cl = *w.clients.front();
     bool done = false;
     sim::spawn(w.sim, [](MusicWorld& world, core::MusicClient& c, double& q,

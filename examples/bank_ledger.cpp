@@ -25,7 +25,7 @@
 
 #include "core/multikey.h"
 #include "recipes/recipes.h"
-#include "util_world_example.h"
+#include "world/world.h"
 
 using namespace music;
 
@@ -36,14 +36,14 @@ constexpr int kInitialBalance = 250;
 
 Key account(int i) { return "acct-" + std::to_string(i); }
 
-sim::Task<void> teller(ExampleWorld& w, core::MusicClient& c, int id,
+sim::Task<void> teller(world::MusicWorld& w, core::MusicClient& c, int id,
                        sim::Time die_at, int transfers, int& completed) {
   recipes::AtomicCounter audit(c, "audit-log");
   sim::Rng rng(static_cast<uint64_t>(id) * 7919 + 13);
   for (int t = 0; t < transfers; ++t) {
-    if (die_at > 0 && w.s.now() >= die_at) {
+    if (die_at > 0 && w.sim.now() >= die_at) {
       std::printf("[t=%6.2f s] teller-%d CRASHED mid-shift\n",
-                  sim::to_sec(w.s.now()), id);
+                  sim::to_sec(w.sim.now()), id);
       co_return;
     }
     int from = static_cast<int>(rng.next_u64() % kAccounts);
@@ -54,12 +54,12 @@ sim::Task<void> teller(ExampleWorld& w, core::MusicClient& c, int id,
     core::MultiKeySection cs(c, {account(from), account(to)});
     auto st = co_await cs.acquire_all();
     if (!st.ok()) continue;
-    if (die_at > 0 && w.s.now() >= die_at) {
+    if (die_at > 0 && w.sim.now() >= die_at) {
       // Crash while holding both locks, before writing: the failure
       // detector preempts the orphaned section so other tellers proceed.
       std::printf("[t=%6.2f s] teller-%d CRASHED holding locks on %s,%s "
                   "(FD will preempt)\n",
-                  sim::to_sec(w.s.now()), id, account(from).c_str(),
+                  sim::to_sec(w.sim.now()), id, account(from).c_str(),
                   account(to).c_str());
       co_return;
     }
@@ -75,29 +75,37 @@ sim::Task<void> teller(ExampleWorld& w, core::MusicClient& c, int id,
           co_await audit.add(1);
           ++completed;
           std::printf("[t=%6.2f s] teller-%d moved %3d: %s -> %s\n",
-                      sim::to_sec(w.s.now()), id, amount, account(from).c_str(),
+                      sim::to_sec(w.sim.now()), id, amount, account(from).c_str(),
                       account(to).c_str());
         }
       }
     }
     co_await cs.release_all();
-    co_await sim::sleep_for(w.s, rng.uniform_int(0, sim::ms(500)));
+    co_await sim::sleep_for(w.sim, rng.uniform_int(0, sim::ms(500)));
   }
 }
 
 }  // namespace
 
 int main() {
-  ExampleWorld w(/*seed=*/31, /*failure_detector=*/true);
+  // The Fig. 1 topology, one teller client per site, the failure detector
+  // on (an 8 s holder timeout reclaims a crashed teller's lock).
+  world::Options opt;
+  opt.seed = 31;
+  opt.music.holder_timeout = sim::sec(8);
+  opt.music.fd_interval = sim::sec(2);
+  opt.failure_detector = true;
+  opt.client_sites = {0, 1, 2};
+  world::MusicWorld w(opt);
   std::printf("Geo-distributed bank ledger: %d accounts x %d, 3 tellers, "
               "teller-0 crashes mid-transfer\n\n", kAccounts, kInitialBalance);
 
   // Initialize balances under one multi-key section.
   bool init_done = false;
-  sim::spawn(w.s, [](ExampleWorld& world, bool& d) -> sim::Task<void> {
+  sim::spawn(w.sim, [](world::MusicWorld& ledger, bool& d) -> sim::Task<void> {
     std::vector<Key> keys;
     for (int i = 0; i < kAccounts; ++i) keys.push_back(account(i));
-    core::MultiKeySection init(*world.clients[0], keys);
+    core::MultiKeySection init(*ledger.clients[0], keys);
     co_await init.acquire_all();
     for (int i = 0; i < kAccounts; ++i) {
       co_await init.put(account(i), Value(std::to_string(kInitialBalance)));
@@ -105,22 +113,22 @@ int main() {
     co_await init.release_all();
     d = true;
   }(w, init_done));
-  w.s.run_until(sim::sec(30));
+  w.sim.run_until(sim::sec(30));
   if (!init_done) return 1;
 
   int completed = 0;
-  sim::spawn(w.s, teller(w, *w.clients[0], 0, sim::sec(40), 10, completed));
-  sim::spawn(w.s, teller(w, *w.clients[1], 1, 0, 10, completed));
-  sim::spawn(w.s, teller(w, *w.clients[2], 2, 0, 10, completed));
-  w.s.run_until(sim::sec(300));
+  sim::spawn(w.sim, teller(w, *w.clients[0], 0, sim::sec(40), 10, completed));
+  sim::spawn(w.sim, teller(w, *w.clients[1], 1, 0, 10, completed));
+  sim::spawn(w.sim, teller(w, *w.clients[2], 2, 0, 10, completed));
+  w.sim.run_until(sim::sec(300));
 
   // Audit: conservation of money, observed through a fresh section.
   int total = -1;
   bool audited = false;
-  sim::spawn(w.s, [](ExampleWorld& world, int& sum, bool& d) -> sim::Task<void> {
+  sim::spawn(w.sim, [](world::MusicWorld& ledger, int& sum, bool& d) -> sim::Task<void> {
     std::vector<Key> keys;
     for (int i = 0; i < kAccounts; ++i) keys.push_back(account(i));
-    core::MultiKeySection cs(*world.clients[1], keys);
+    core::MultiKeySection cs(*ledger.clients[1], keys);
     auto st = co_await cs.acquire_all();
     if (!st.ok()) co_return;
     sum = 0;
@@ -129,7 +137,7 @@ int main() {
       if (g.ok()) sum += std::stoi(g.value().data);
     }
     co_await cs.release_all();
-    recipes::AtomicCounter audit(*world.clients[1], "audit-log");
+    recipes::AtomicCounter audit(*ledger.clients[1], "audit-log");
     auto n = co_await audit.get();
     std::printf("\naudit: %lld transfers logged, total balance %d "
                 "(expected %d)\n",
@@ -137,7 +145,7 @@ int main() {
                 kAccounts * kInitialBalance);
     d = true;
   }(w, total, audited));
-  w.s.run_until(sim::sec(400));
+  w.sim.run_until(sim::sec(400));
 
   bool ok = audited && total == kAccounts * kInitialBalance;
   std::printf("%s (completed transfers: %d)\n",

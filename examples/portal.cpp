@@ -20,54 +20,29 @@
 
 #include "core/client.h"
 #include "core/music.h"
-#include "datastore/store.h"
-#include "lockstore/lockstore.h"
-#include "sim/network.h"
 #include "sim/simulation.h"
+#include "world/world.h"
 
 using namespace music;
 
 namespace {
 
-struct PortalWorld {
-  sim::Simulation s{11};
-  sim::Network net;
-  ds::StoreCluster store;
-  ls::LockStore locks;
-  std::vector<std::unique_ptr<core::MusicReplica>> replicas;
-  std::vector<std::unique_ptr<core::MusicClient>> clients;
+/// The Fig. 1 topology with no FD: the portal's own front end detects
+/// failed owners and moves ownership itself (§VII-b).
+world::Options portal_world() {
+  world::Options o;
+  o.seed = 11;
+  return o;
+}
 
-  PortalWorld()
-      : net(s, [] {
-          sim::NetworkConfig c;
-          c.profile = sim::LatencyProfile::profile_lus();
-          return c;
-        }()),
-        store(s, net, ds::StoreConfig{}, {0, 1, 2}),
-        locks(store) {
-    for (int site = 0; site < 3; ++site) {
-      replicas.push_back(std::make_unique<core::MusicReplica>(
-          store, locks, core::MusicConfig{}, site));
-    }
-  }
-
-  core::MusicClient& make_client(int site) {
-    std::vector<core::MusicReplica*> prefs{replicas[static_cast<size_t>(site)].get()};
-    for (int i = 0; i < 3; ++i) {
-      if (i != site) prefs.push_back(replicas[static_cast<size_t>(i)].get());
-    }
-    clients.push_back(std::make_unique<core::MusicClient>(
-        s, net, prefs, core::ClientConfig{}, site));
-    return *clients.back();
-  }
-};
+using PortalWorld = world::MusicWorld;
 
 /// One Portal back-end replica.  Processes write(userID, role) requests in
 /// a single thread (the §VII-b requirement) using its cached lockRef.
 class PortalBackend {
  public:
   PortalBackend(PortalWorld& w, int site, std::string name)
-      : w_(w), client_(w.make_client(site)), name_(std::move(name)) {}
+      : w_(w), client_(w.add_client(site)), name_(std::move(name)) {}
 
   void crash() { alive_ = false; }
   bool alive() const { return alive_; }
@@ -94,7 +69,7 @@ class PortalBackend {
       auto st = co_await own(user);
       if (!st.ok()) co_return st;
       std::printf("[t=%7.2f s] %s became owner of %s (lockRef %lld)\n",
-                  sim::to_sec(w_.s.now()), name_.c_str(), user.c_str(),
+                  sim::to_sec(w_.sim.now()), name_.c_str(), user.c_str(),
                   static_cast<long long>(my_ref_[user]));
     }
     // The amortized fast path: one criticalPut per request, no locking.
@@ -156,28 +131,28 @@ sim::Task<void> scenario(PortalWorld& w, std::vector<PortalBackend*> backends,
     auto st = co_await front_end_write(w, backends, user, Value(roles[i]));
     if (!st.ok()) ++failures;
     std::printf("[t=%7.2f s] front-end applied role '%s' -> %s\n",
-                sim::to_sec(w.s.now()), roles[i],
+                sim::to_sec(w.sim.now()), roles[i],
                 st.ok() ? "OK" : "FAILED");
   }
   auto before = co_await backends[0]->read(user);
-  std::printf("[t=%7.2f s] role before failover: %s\n", sim::to_sec(w.s.now()),
+  std::printf("[t=%7.2f s] role before failover: %s\n", sim::to_sec(w.sim.now()),
               before.ok() ? before.value().data.c_str() : "?");
 
   // The owner crashes.  The next request transfers ownership: forced
   // release + own() at the next-closest backend, which resumes from the
   // LATEST role state.
-  std::printf("[t=%7.2f s] *** %s crashes ***\n", sim::to_sec(w.s.now()),
+  std::printf("[t=%7.2f s] *** %s crashes ***\n", sim::to_sec(w.sim.now()),
               backends[0]->name().c_str());
   backends[0]->crash();
 
   auto st = co_await front_end_write(w, backends, user, Value("auditor"));
   if (!st.ok()) ++failures;
   std::printf("[t=%7.2f s] front-end applied role 'auditor' after failover -> %s\n",
-              sim::to_sec(w.s.now()), st.ok() ? "OK" : "FAILED");
+              sim::to_sec(w.sim.now()), st.ok() ? "OK" : "FAILED");
 
   auto after = co_await backends[1]->read(user);
   std::printf("[t=%7.2f s] role after failover:  %s (latest state preserved)\n",
-              sim::to_sec(w.s.now()),
+              sim::to_sec(w.sim.now()),
               after.ok() ? after.value().data.c_str() : "?");
   if (!after.ok() || after.value().data != "auditor") ++failures;
 }
@@ -185,7 +160,7 @@ sim::Task<void> scenario(PortalWorld& w, std::vector<PortalBackend*> backends,
 }  // namespace
 
 int main() {
-  PortalWorld w;
+  PortalWorld w(portal_world());
   std::printf("Management Portal Service (SVII-b): active replication with "
               "MUSIC ownership failover\n\n");
   PortalBackend b0(w, 0, "backend-sd");   // San Diego
@@ -194,8 +169,8 @@ int main() {
   std::vector<PortalBackend*> backends{&b0, &b1, &b2};
 
   int failures = 0;
-  sim::spawn(w.s, scenario(w, backends, failures));
-  w.s.run_until(sim::sec(120));
+  sim::spawn(w.sim, scenario(w, backends, failures));
+  w.sim.run_until(sim::sec(120));
   std::printf("\n%s\n", failures == 0 ? "PORTAL SCENARIO OK" : "FAILURES SEEN");
   return failures == 0 ? 0 : 1;
 }

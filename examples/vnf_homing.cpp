@@ -19,10 +19,8 @@
 #include "core/client.h"
 #include "core/music.h"
 #include "core/session.h"
-#include "datastore/store.h"
-#include "lockstore/lockstore.h"
-#include "sim/network.h"
 #include "sim/simulation.h"
+#include "world/world.h"
 
 using namespace music;
 
@@ -41,43 +39,20 @@ std::string state_of(const Value& v) {
   return v.data.substr(0, v.data.find('|'));
 }
 
-struct HomingWorld {
-  sim::Simulation s{7};
-  sim::NetworkConfig net_cfg;
-  sim::Network net;
-  ds::StoreCluster store;
-  ls::LockStore locks;
-  std::vector<std::unique_ptr<core::MusicReplica>> replicas;
-  std::vector<std::unique_ptr<core::MusicClient>> clients;
+/// The Fig. 1 topology with the failure detector on: a dead worker's
+/// lock is preempted after 12 s of inactivity.
+world::Options homing_world() {
+  world::Options o;
+  o.seed = 7;
+  o.music.holder_timeout = sim::sec(12);
+  o.music.fd_interval = sim::sec(2);
+  o.failure_detector = true;
+  return o;
+}
+
+struct HomingWorld : world::MusicWorld {
+  HomingWorld() : world::MusicWorld(homing_world()) {}
   int jobs_done = 0;
-
-  HomingWorld()
-      : net_cfg([] {
-          sim::NetworkConfig c;
-          c.profile = sim::LatencyProfile::profile_lus();
-          return c;
-        }()),
-        net(s, net_cfg),
-        store(s, net, ds::StoreConfig{}, {0, 1, 2}),
-        locks(store) {
-    core::MusicConfig mc;
-    mc.holder_timeout = sim::sec(12);  // failure detection for dead workers
-    mc.fd_interval = sim::sec(2);
-    for (int site = 0; site < 3; ++site) {
-      replicas.push_back(std::make_unique<core::MusicReplica>(store, locks, mc, site));
-    }
-    for (auto& r : replicas) r->start_failure_detector();
-  }
-
-  core::MusicClient& make_client(int site) {
-    std::vector<core::MusicReplica*> prefs{replicas[static_cast<size_t>(site)].get()};
-    for (int i = 0; i < 3; ++i) {
-      if (i != site) prefs.push_back(replicas[static_cast<size_t>(i)].get());
-    }
-    clients.push_back(std::make_unique<core::MusicClient>(
-        s, net, prefs, core::ClientConfig{}, site));
-    return *clients.back();
-  }
 };
 
 /// Client API replica (§VII-a): receives homing requests, places them in
@@ -88,13 +63,13 @@ sim::Task<void> client_api(HomingWorld& w, core::MusicClient& c, int n_jobs) {
     std::string desc = "vnf-chain-" + std::to_string(j) + ";bw=10G;lat<20ms";
     co_await c.put(job_id, Value("PENDING|" + desc));
     std::printf("[t=%7.2f s] client-api submitted %s (%s)\n",
-                sim::to_sec(w.s.now()), job_id.c_str(), desc.c_str());
-    co_await sim::sleep_for(w.s, sim::sec(2));
+                sim::to_sec(w.sim.now()), job_id.c_str(), desc.c_str());
+    co_await sim::sleep_for(w.sim, sim::sec(2));
   }
   // Poll for completed jobs and garbage-collect them (with locks: deletes
   // are critical operations on job state).
   while (w.jobs_done < n_jobs) {
-    co_await sim::sleep_for(w.s, sim::sec(5));
+    co_await sim::sleep_for(w.sim, sim::sec(5));
     auto keys = co_await c.get_all_keys("job/");
     if (!keys.ok()) continue;
     for (const auto& job : keys.value()) {
@@ -107,7 +82,7 @@ sim::Task<void> client_api(HomingWorld& w, core::MusicClient& c, int n_jobs) {
         if (st.ok()) {
           ++w.jobs_done;
           std::printf("[t=%7.2f s] client-api reaped %s (DONE)\n",
-                      sim::to_sec(w.s.now()), job.c_str());
+                      sim::to_sec(w.sim.now()), job.c_str());
         }
       }
     }
@@ -119,15 +94,15 @@ sim::Task<void> client_api(HomingWorld& w, core::MusicClient& c, int n_jobs) {
 /// with criticalPut so a successor can resume from the latest state.
 sim::Task<void> worker(HomingWorld& w, core::MusicClient& c, int id,
                        sim::Time die_at) {
-  while (w.s.now() < sim::sec(200)) {
-    if (die_at > 0 && w.s.now() >= die_at) {
-      std::printf("[t=%7.2f s] worker-%d CRASHED\n", sim::to_sec(w.s.now()), id);
+  while (w.sim.now() < sim::sec(200)) {
+    if (die_at > 0 && w.sim.now() >= die_at) {
+      std::printf("[t=%7.2f s] worker-%d CRASHED\n", sim::to_sec(w.sim.now()), id);
       co_return;  // crash: lock left held; FD will preempt it
     }
     // jobs = getAllKeys(); pop each in submission order.
     auto keys = co_await c.get_all_keys("job/");
     if (!keys.ok() || keys.value().empty()) {
-      co_await sim::sleep_for(w.s, sim::sec(1));
+      co_await sim::sleep_for(w.sim, sim::sec(1));
       continue;
     }
     for (const auto& job : keys.value()) {
@@ -156,17 +131,17 @@ sim::Task<void> worker(HomingWorld& w, core::MusicClient& c, int id,
       std::string state = state_of(st.value());
       std::string desc = st.value().data.substr(st.value().data.find('|'));
       std::printf("[t=%7.2f s] worker-%d homing %s from state %s\n",
-                  sim::to_sec(w.s.now()), id, job.c_str(), state.c_str());
+                  sim::to_sec(w.sim.now()), id, job.c_str(), state.c_str());
       bool lost = false;
       while (state != "DONE" && !lost) {
-        if (die_at > 0 && w.s.now() >= die_at) {
+        if (die_at > 0 && w.sim.now() >= die_at) {
           std::printf("[t=%7.2f s] worker-%d CRASHED mid-job on %s (state %s)\n",
-                      sim::to_sec(w.s.now()), id, job.c_str(), state.c_str());
+                      sim::to_sec(w.sim.now()), id, job.c_str(), state.c_str());
           co_return;  // died holding the lock, job half done
         }
         // "Homing is a complex and time-consuming process": each stage
         // costs simulated solver time.
-        co_await sim::sleep_for(w.s, sim::sec(2));
+        co_await sim::sleep_for(w.sim, sim::sec(2));
         state = next_state(state);
         auto put = co_await c.critical_put(job, ref.value(),
                                            Value(state + desc));
@@ -174,7 +149,7 @@ sim::Task<void> worker(HomingWorld& w, core::MusicClient& c, int id,
       }
       if (!lost) {
         std::printf("[t=%7.2f s] worker-%d finished %s\n",
-                    sim::to_sec(w.s.now()), id, job.c_str());
+                    sim::to_sec(w.sim.now()), id, job.c_str());
         co_await c.release_lock(job, ref.value());
       }
     }
@@ -186,19 +161,19 @@ sim::Task<void> worker(HomingWorld& w, core::MusicClient& c, int id,
 int main() {
   HomingWorld w;
   std::printf("VNF Homing Service (Fig. 3) on 3 sites, profile %s\n",
-              w.net_cfg.profile.name.c_str());
+              w.options.net.profile.name.c_str());
   std::printf("3 workers; worker-0 is scheduled to crash mid-job.\n\n");
 
-  auto& api = w.make_client(0);
+  auto& api = w.add_client(0);
   constexpr int kJobs = 4;
-  sim::spawn(w.s, client_api(w, api, kJobs));
+  sim::spawn(w.sim, client_api(w, api, kJobs));
 
   // Worker 0 crashes 9s in (mid-pipeline); workers 1 and 2 take over.
-  sim::spawn(w.s, worker(w, w.make_client(0), 0, sim::sec(9)));
-  sim::spawn(w.s, worker(w, w.make_client(1), 1, 0));
-  sim::spawn(w.s, worker(w, w.make_client(2), 2, 0));
+  sim::spawn(w.sim, worker(w, w.add_client(0), 0, sim::sec(9)));
+  sim::spawn(w.sim, worker(w, w.add_client(1), 1, 0));
+  sim::spawn(w.sim, worker(w, w.add_client(2), 2, 0));
 
-  w.s.run_until(sim::sec(240));
+  w.sim.run_until(sim::sec(240));
   std::printf("\ncompleted %d/%d jobs (worker crash included)\n", w.jobs_done,
               kJobs);
   uint64_t preemptions = 0;

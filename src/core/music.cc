@@ -524,7 +524,10 @@ sim::Task<void> MusicReplica::fd_scan() {
     bool orphan =
         !origin && sim().now() - it->second.since >= cfg_.holder_timeout;
     if (expired || orphan) {
-      co_await forced_release(key, head);
+      auto st = co_await forced_release(key, head);
+      if (st.ok() && observer_ != nullptr) {
+        observer_->on_forced_release(key, head);
+      }
     }
   }
 }

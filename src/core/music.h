@@ -95,6 +95,17 @@ struct MusicStats {
   uint64_t batched_ops = 0;   // sub-ops carried by those batches
 };
 
+/// Replica-side lock events no client sees.  Today that is the failure
+/// detector's forced release (§IV-B): the oracle must hear every
+/// preemption to judge ECF, and a detector-driven one has no client call to
+/// report it.  Attached per replica with MusicReplica::set_observer.
+class LockObserver {
+ public:
+  virtual ~LockObserver() = default;
+  /// `ref` was preempted by the failure detector (synchFlag set, dequeued).
+  virtual void on_forced_release(const Key& key, LockRef ref) = 0;
+};
+
 /// A MUSIC replica.  All operations are coroutines over the simulated
 /// cluster; they are safe to invoke concurrently from many clients.
 class MusicReplica {
@@ -198,6 +209,10 @@ class MusicReplica {
   void start_failure_detector();
   void stop_failure_detector();
 
+  /// Reports the failure detector's successful forced releases to
+  /// `observer` (nullptr: to nobody).
+  void set_observer(LockObserver* observer) { observer_ = observer; }
+
   /// Registers a key for failure-detector scanning.
   void watch_key(const Key& key);
 
@@ -268,6 +283,7 @@ class MusicReplica {
 
   // Failure detector state.
   bool fd_running_ = false;
+  LockObserver* observer_ = nullptr;
   struct HeadObservation {
     LockRef head = kNoLockRef;
     sim::Time since = 0;

@@ -1,9 +1,12 @@
 #include "fault/fault.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstdio>
 #include <utility>
+
+#include "sim/rng.h"
 
 namespace music::fault {
 namespace {
@@ -501,6 +504,48 @@ std::string Schedule::describe() const {
     out += "\n";
   }
   return out;
+}
+
+Schedule chaos_schedule(uint64_t seed, sim::Time from, sim::Time until,
+                        int sites, int store_replicas, int music_replicas) {
+  sim::Rng rng(seed);
+  Schedule s;
+  sim::Time t = from;
+  while (t < until) {
+    t += rng.uniform_int(sim::sec(5), sim::sec(15));
+    if (t >= until) break;
+    sim::Duration outage =
+        std::min(rng.uniform_int(sim::ms(500), sim::sec(4)), until - t);
+    // Draw order (gap, outage, kind, victim) is part of the contract: a
+    // seed names one schedule.
+    uint64_t kinds = music_replicas > 0 ? 3 : 2;
+    uint64_t kind = rng.next_u64() % kinds;
+    if (kind == 1 && music_replicas == 0) kind = 2;
+    switch (kind) {
+      case 0:
+        s.crash_store_at(t, static_cast<int>(rng.next_u64() %
+                                              static_cast<uint64_t>(store_replicas)),
+                         outage);
+        break;
+      case 1:
+        s.crash_music_at(t, static_cast<int>(rng.next_u64() %
+                                              static_cast<uint64_t>(music_replicas)),
+                         outage);
+        break;
+      default: {
+        int isolated =
+            static_cast<int>(rng.next_u64() % static_cast<uint64_t>(sites));
+        std::set<int> rest;
+        for (int site = 0; site < sites; ++site) {
+          if (site != isolated) rest.insert(site);
+        }
+        s.partition_at(t, {isolated}, std::move(rest), outage);
+        break;
+      }
+    }
+    t += outage;
+  }
+  return s;
 }
 
 }  // namespace music::fault

@@ -165,4 +165,14 @@ class Schedule {
   std::vector<FaultSpec> specs_;
 };
 
+/// The randomized §III failure model as a schedule (the CLI's --chaos):
+/// after a 5-15 s gap, one fault for 0.5-4 s — a store-replica crash, a
+/// MUSIC-replica crash (only when `music_replicas` > 0) or one site
+/// partitioned from the rest — then the next gap, from `from` to `until`.
+/// One fault at a time keeps a majority up, the regime where MUSIC promises
+/// liveness; outages are clamped so everything is healed by `until`.  The
+/// same seed gives the same schedule; print it with describe().
+Schedule chaos_schedule(uint64_t seed, sim::Time from, sim::Time until,
+                        int sites, int store_replicas, int music_replicas);
+
 }  // namespace music::fault

@@ -60,6 +60,7 @@ void Nemesis::arm(const Schedule& schedule) {
 }
 
 void Nemesis::inject(const FaultSpec& spec) {
+  if (holds_down(spec)) return;
   OpenFault f;
   f.spec = spec;
   switch (spec.kind) {
@@ -109,6 +110,16 @@ void Nemesis::inject(const FaultSpec& spec) {
   if (spec.duration > 0) {
     sim_.schedule(spec.duration, [this, id] { heal(id); });
   }
+}
+
+bool Nemesis::holds_down(const FaultSpec& spec) const {
+  if (spec.kind != FaultKind::CrashStore && spec.kind != FaultKind::CrashMusic) {
+    return false;
+  }
+  for (const auto& [id, f] : open_) {
+    if (f.spec.kind == spec.kind && f.spec.replica == spec.replica) return true;
+  }
+  return false;
 }
 
 void Nemesis::heal(uint64_t id) {

@@ -61,7 +61,10 @@ class Nemesis {
   void arm(const Schedule& schedule);
 
   /// Applies one fault now.  If the spec has a duration, its heal is
-  /// scheduled; otherwise it stays until heal_all().
+  /// scheduled; otherwise it stays until heal_all().  A crash of a replica
+  /// one of this nemesis's open crashes already holds down is skipped (not
+  /// counted, no span): with overlapping schedules armed, the shorter fault
+  /// must not restart a replica the longer one still holds.
   void inject(const FaultSpec& spec);
 
   /// Ends every fault this nemesis currently has open: heals partitions and
@@ -85,6 +88,7 @@ class Nemesis {
   };
 
   void heal(uint64_t id);
+  bool holds_down(const FaultSpec& spec) const;
 
   sim::Simulation& sim_;
   sim::Network& net_;

@@ -8,23 +8,16 @@
 #include <memory>
 #include <utility>
 
-#include "cluster/client.h"
-#include "cluster/cluster.h"
-#include "core/client.h"
-#include "core/music.h"
-#include "datastore/store.h"
 #include "fault/fault.h"
 #include "fault/nemesis.h"
-#include "lockstore/lockstore.h"
 #include "obs/metrics.h"
 #include "par/par.h"
-#include "raftkv/txkv.h"
 #include "sim/simulation.h"
 #include "verify/oracle.h"
 #include "wire/codec.h"
 #include "workload/driver.h"
 #include "workload/zipfian.h"
-#include "zab/zab.h"
+#include "world/world.h"
 
 namespace music::scn {
 namespace {
@@ -108,12 +101,6 @@ std::vector<int> cell_placement(const Cell& cell) {
   return place_clients(cell.clients(), cell.point.workload.placement);
 }
 
-std::vector<int> node_sites(int n) {
-  std::vector<int> v;
-  for (int i = 0; i < n; ++i) v.push_back(i % 3);
-  return v;
-}
-
 /// Per-site max wire versions for a cell ("" = the current binary's full
 /// range everywhere).  The versions axis is already grammar-validated
 /// (V:V:V, each 1..9).
@@ -154,13 +141,16 @@ std::vector<ClientStream> make_streams(int n, uint64_t seed) {
 
 /// MUSIC/MSCP cell op: one critical section around a single criticalGet
 /// (read) or criticalPut (write) on a picked key, every transition reported
-/// to the armed oracle via CheckedClient.
-class MusicMixWorkload : public wl::Workload {
+/// to the armed oracle.  `Client` is verify::CheckedClient (one group) or
+/// cluster::Client (sharded: shard routing, the WrongShard retry discipline
+/// and the oracle instrumentation live in the client), so the section body
+/// is protocol-identical.
+template <typename Client>
+class MixWorkload : public wl::Workload {
  public:
   /// `pdes_clients` > 0 switches to that many per-cid streams (PDES cells).
-  MusicMixWorkload(std::vector<verify::CheckedClient> clients, double read_frac,
-                   KeyPick pick, size_t value_size, uint64_t seed,
-                   int pdes_clients = 0)
+  MixWorkload(std::vector<Client*> clients, double read_frac, KeyPick pick,
+              size_t value_size, uint64_t seed, int pdes_clients = 0)
       : clients_(std::move(clients)),
         read_frac_(read_frac),
         pick_(std::move(pick)),
@@ -169,65 +159,7 @@ class MusicMixWorkload : public wl::Workload {
         streams_(make_streams(pdes_clients, seed)) {}
 
   sim::Task<bool> run_once(int cid) override {
-    auto& c = clients_[static_cast<size_t>(cid) % clients_.size()];
-    sim::Rng& rng =
-        streams_.empty() ? rng_
-                         : streams_[static_cast<size_t>(cid) % streams_.size()].rng;
-    uint64_t& seq =
-        streams_.empty() ? seq_
-                         : streams_[static_cast<size_t>(cid) % streams_.size()].seq;
-    Key key = pick_.next(rng);
-    bool read = rng.chance(read_frac_);
-    auto ref = co_await c.create_lock_ref(key);
-    if (!ref.ok()) co_return false;
-    auto acq = co_await c.acquire_lock_blocking(key, ref.value());
-    if (!acq.ok()) {
-      co_await c.inner().remove_lock_ref(key, ref.value());
-      co_return false;
-    }
-    bool ok;
-    if (read) {
-      auto g = co_await c.critical_get(key, ref.value());
-      // NotFound is a legitimate read of a never-written key.
-      ok = g.ok() || g.status() == OpStatus::NotFound;
-    } else {
-      ok = (co_await c.critical_put(key, ref.value(),
-                                    make_value(cid, seq++, value_size_)))
-               .ok();
-    }
-    co_await c.release_lock(key, ref.value());
-    co_return ok;
-  }
-
- private:
-  std::vector<verify::CheckedClient> clients_;
-  double read_frac_;
-  KeyPick pick_;
-  size_t value_size_;
-  sim::Rng rng_;
-  uint64_t seq_ = 0;
-  std::vector<ClientStream> streams_;
-};
-
-/// Sharded MUSIC/MSCP cell op: the same critical section as
-/// MusicMixWorkload, but through cluster::Client — shard routing, the
-/// WrongShard retry discipline and the oracle instrumentation all live in
-/// the client, so the workload body is protocol-identical.
-class ClusterMixWorkload : public wl::Workload {
- public:
-  /// `pdes_clients` > 0 switches to that many per-cid streams (PDES cells).
-  ClusterMixWorkload(std::vector<std::unique_ptr<cluster::Client>> clients,
-                     double read_frac, KeyPick pick, size_t value_size,
-                     uint64_t seed, int pdes_clients = 0)
-      : clients_(std::move(clients)),
-        read_frac_(read_frac),
-        pick_(std::move(pick)),
-        value_size_(value_size),
-        rng_(seed),
-        streams_(make_streams(pdes_clients, seed)) {}
-
-  sim::Task<bool> run_once(int cid) override {
-    auto& c = *clients_[static_cast<size_t>(cid) % clients_.size()];
+    Client& c = *clients_[static_cast<size_t>(cid) % clients_.size()];
     sim::Rng& rng =
         streams_.empty() ? rng_
                          : streams_[static_cast<size_t>(cid) % streams_.size()].rng;
@@ -246,18 +178,19 @@ class ClusterMixWorkload : public wl::Workload {
     bool ok;
     if (read) {
       auto g = co_await c.critical_get(key, ref.value());
+      // NotFound is a legitimate read of a never-written key.
       ok = g.ok() || g.status() == OpStatus::NotFound;
     } else {
-      ok = (co_await c.critical_put(key, ref.value(),
-                                    make_value(cid, seq++, value_size_)))
-               .ok();
+      auto put = co_await c.critical_put(key, ref.value(),
+                                         make_value(cid, seq++, value_size_));
+      ok = put.ok();
     }
     co_await c.release_lock(key, ref.value());
     co_return ok;
   }
 
  private:
-  std::vector<std::unique_ptr<cluster::Client>> clients_;
+  std::vector<Client*> clients_;
   double read_frac_;
   KeyPick pick_;
   size_t value_size_;
@@ -388,272 +321,119 @@ bool arm_faults(const Cell& cell, fault::Nemesis& nemesis, CellOutcome* out) {
   return true;
 }
 
-/// Arms the conservative PDES engine on `sim` (before any Network or node
-/// exists) when the caller opted in with par_sites > 0.
-void maybe_enable_pdes(sim::Simulation& sim, const sim::NetworkConfig& nc,
-                       size_t par_sites) {
-  if (par_sites == 0) return;
-  sim::Simulation::PdesOptions po;
-  po.sites = nc.profile.num_sites();
-  po.workers = par_sites;
-  po.lookahead = sim::Network::conservative_lookahead(nc);
-  sim.enable_pdes(po);
+/// The world options a cell's spec names.  MUSIC/MSCP cells run the
+/// production failure detector with an 8 s holder timeout, so abandoned
+/// sections recover under faults.
+world::Options cell_options(const Cell& cell, core::PutMode mode,
+                            size_t par_sites) {
+  world::Options o;
+  o.seed = cell.seed;
+  o.net.profile = profile_by_name(cell.profile());
+  o.pdes_workers = par_sites;
+  o.store_nodes = cell.point.topology.store_nodes;
+  o.store.expected_keys = 4096;
+  o.music.put_mode = mode;
+  o.music.holder_timeout = sim::sec(8);
+  o.music.fd_interval = sim::sec(2);
+  o.failure_detector = true;
+  o.holder_site = cell.point.topology.holder_site;
+  return o;
 }
 
-CellOutcome run_music_cell(const Cell& cell, core::PutMode mode,
-                           size_t par_sites) {
+/// Runs the MUSIC/MSCP mix on a built world (one group or sharded) whose
+/// `clients` report to `checker`: the oracle also observes every replica,
+/// the cell's faults are armed on the world's crash hooks, and a site
+/// restart onto a new binary records its max wire version so the fleet's
+/// negotiated floor tracks the upgrade.
+template <typename World, typename Client>
+CellOutcome run_mix_cell(const Cell& cell, World& w,
+                         verify::EcfChecker& checker,
+                         std::vector<Client*> clients, size_t par_sites) {
   CellOutcome out;
   out.label = cell.label();
-
-  sim::Simulation sim(cell.seed);
-  sim::NetworkConfig nc;
-  nc.profile = profile_by_name(cell.profile());
-  maybe_enable_pdes(sim, nc, par_sites);
-  sim::Network net(sim, nc);
-  ds::StoreConfig sc;
-  sc.expected_keys = 4096;
-  ds::StoreCluster store(sim, net, sc,
-                         node_sites(cell.point.topology.store_nodes));
-  ls::LockStore locks(store);
-
-  core::MusicConfig mc;
-  mc.put_mode = mode;
-  mc.holder_timeout = sim::sec(8);  // abandoned sections recover under faults
-  mc.fd_interval = sim::sec(2);
-  std::vector<std::unique_ptr<core::MusicReplica>> replicas;
-  for (int site = 0; site < 3; ++site) {
-    replicas.push_back(
-        std::make_unique<core::MusicReplica>(store, locks, mc, site));
-    replicas.back()->start_failure_detector();
-  }
-
-  verify::EcfChecker checker(sim);
+  w.observe(&checker);
   // Forced releases under faults can grant from a stale local view; ECF
   // makes no promises to such holders (keep strict when fault-free).
   if (!cell.point.faults.empty()) checker.set_lenient_stale_grants(true);
 
-  fault::NemesisHooks hooks;
-  hooks.crash_store = [&store](int replica, bool down, bool amnesia) {
-    if (down && amnesia) store.replica(replica).wipe_state();
-    store.replica(replica).set_down(down);
-  };
-  hooks.crash_music = [&replicas](int replica, bool down, bool amnesia) {
-    replicas.at(static_cast<size_t>(replica))->set_down(down, amnesia);
-  };
-  // Rolling-upgrade step: bounce every replica the site hosts (store nodes
-  // are interleaved site = node % 3, plus the site's MUSIC replica); when
-  // the site comes back "onto the new binary", record its new max wire
-  // version so the fleet's negotiated floor tracks the upgrade.
   std::array<uint8_t, 3> site_versions = cell_versions(cell);
-  int store_nodes = cell.point.topology.store_nodes;
-  hooks.restart_site = [&store, &replicas, &site_versions, store_nodes](
+  fault::NemesisHooks hooks = w.nemesis_hooks();
+  hooks.restart_site = [bounce = hooks.restart_site, &site_versions](
                            int site, bool down, bool amnesia, int version) {
-    for (int r = site; r < store_nodes; r += 3) {
-      if (down && amnesia) store.replica(r).wipe_state();
-      store.replica(r).set_down(down);
-    }
-    replicas.at(static_cast<size_t>(site))->set_down(down, amnesia);
+    bounce(site, down, amnesia, version);
     if (!down && version > 0) {
-      site_versions[static_cast<size_t>(site)] =
-          static_cast<uint8_t>(version);
+      site_versions[static_cast<size_t>(site)] = static_cast<uint8_t>(version);
     }
   };
-  fault::Nemesis nemesis(sim, net, hooks);
+  fault::Nemesis nemesis(w.sim, w.net, std::move(hooks));
   if (!arm_faults(cell, nemesis, &out)) return out;
 
-  // Clients placed per the spec; preference order encodes holder_site.
-  std::vector<std::unique_ptr<core::MusicClient>> clients;
-  std::vector<verify::CheckedClient> checked;
-  std::vector<int> per_site = cell_placement(cell);
-  for (int site = 0; site < 3; ++site) {
-    for (int i = 0; i < per_site[static_cast<size_t>(site)]; ++i) {
-      int first = cell.point.topology.holder_site >= 0
-                      ? cell.point.topology.holder_site
-                      : site;
-      std::vector<core::MusicReplica*> prefs{
-          replicas[static_cast<size_t>(first)].get()};
-      for (int j = 0; j < 3; ++j) {
-        if (j != first) {
-          prefs.push_back(replicas[static_cast<size_t>(j)].get());
-        }
-      }
-      clients.push_back(std::make_unique<core::MusicClient>(
-          sim, net, prefs, core::ClientConfig{}, site));
-      checked.emplace_back(*clients.back(), checker);
-    }
-  }
-
-  KeyPick pick = cell_keypick(cell);
-  auto w = std::make_shared<MusicMixWorkload>(
-      std::move(checked), cell.mix(), std::move(pick),
+  auto mix = std::make_shared<MixWorkload<Client>>(
+      std::move(clients), cell.mix(), cell_keypick(cell),
       cell.point.workload.value_size, cell.seed ^ 0x5CE7A810ull,
       par_sites > 0 ? cell.clients() : 0);
-  out.run = wl::run_closed_loop(sim, w, cell_driver(cell));
+  out.run = wl::run_closed_loop(w.sim, mix, cell_driver(cell));
   nemesis.heal_all();  // close any open-ended faults before inspection
 
-  collect_net(sim, net, &out);
+  collect_net(w.sim, w.net, &out);
   out.fleet_version = fleet_floor(site_versions);
   out.violations = checker.violations().size();
   out.ok = checker.ok();
   if (!out.ok) out.error = checker.report();
   return out;
+}
+
+CellOutcome run_music_cell(const Cell& cell, core::PutMode mode,
+                           size_t par_sites) {
+  world::Options opt = cell_options(cell, mode, par_sites);
+  opt.client_sites = world::grouped_sites(cell_placement(cell));
+  world::MusicWorld w(std::move(opt));
+  verify::EcfChecker checker(w.sim);
+  std::vector<verify::CheckedClient> checked;
+  checked.reserve(w.clients.size());
+  std::vector<verify::CheckedClient*> clients;
+  for (auto& c : w.clients) {
+    clients.push_back(&checked.emplace_back(*c, checker));
+  }
+  return run_mix_cell(cell, w, checker, std::move(clients), par_sites);
 }
 
 CellOutcome run_cluster_cell(const Cell& cell, core::PutMode mode,
                              size_t par_sites) {
-  CellOutcome out;
-  out.label = cell.label();
-
-  sim::Simulation sim(cell.seed);
-  sim::NetworkConfig nc;
-  nc.profile = profile_by_name(cell.profile());
-  maybe_enable_pdes(sim, nc, par_sites);
-  sim::Network net(sim, nc);
-
-  cluster::ClusterConfig cc;
-  cc.shards = cell.shards();
-  cc.store_nodes_per_group = cell.point.topology.store_nodes;
-  cc.holder_site = cell.point.topology.holder_site;
-  cc.store.expected_keys = 4096;
-  cc.music.put_mode = mode;
-  cc.music.holder_timeout = sim::sec(8);
-  cc.music.fd_interval = sim::sec(2);
-  cluster::Cluster cluster(sim, net, cc);
-
-  verify::EcfChecker checker(sim);
-  if (!cell.point.faults.empty()) checker.set_lenient_stale_grants(true);
-
-  fault::NemesisHooks hooks;
-  // Site-correlated targeting: replica index r goes down in EVERY group —
-  // the way a zone outage lands on a sharded deployment (each group has
-  // one store replica and one MUSIC replica per site).
-  hooks.crash_store = [&cluster](int replica, bool down, bool amnesia) {
-    for (int g = 0; g < cluster.num_groups(); ++g) {
-      cluster.set_down_store(g, replica, down, amnesia);
-    }
-  };
-  hooks.crash_music = [&cluster](int replica, bool down, bool amnesia) {
-    for (int g = 0; g < cluster.num_groups(); ++g) {
-      cluster.set_down_music(g, replica, down, amnesia);
-    }
-  };
-  // Site bounce = that site's store and MUSIC replica in every group (each
-  // group hosts one of each per site), plus the upgrade bookkeeping.
-  std::array<uint8_t, 3> site_versions = cell_versions(cell);
-  hooks.restart_site = [&cluster, &site_versions](int site, bool down,
-                                                  bool amnesia, int version) {
-    for (int g = 0; g < cluster.num_groups(); ++g) {
-      cluster.set_down_store(g, site, down, amnesia);
-      cluster.set_down_music(g, site, down, amnesia);
-    }
-    if (!down && version > 0) {
-      site_versions[static_cast<size_t>(site)] =
-          static_cast<uint8_t>(version);
-    }
-  };
-  fault::Nemesis nemesis(sim, net, hooks);
-  if (!arm_faults(cell, nemesis, &out)) return out;
-
+  world::ClusterWorld w(cell_options(cell, mode, par_sites), cell.shards());
+  verify::EcfChecker checker(w.sim);
   // One shard-aware client per logical client (cheap: they fan into the
   // cluster's shared per-site core clients).
-  std::vector<std::unique_ptr<cluster::Client>> clients;
-  std::vector<int> per_site = cell_placement(cell);
-  for (int site = 0; site < 3; ++site) {
-    for (int i = 0; i < per_site[static_cast<size_t>(site)]; ++i) {
-      clients.push_back(
-          std::make_unique<cluster::Client>(cluster, site, &checker));
-    }
+  std::vector<cluster::Client*> clients;
+  for (int site : world::grouped_sites(cell_placement(cell))) {
+    clients.push_back(&w.add_client(site, &checker));
   }
-
-  KeyPick pick = cell_keypick(cell);
-  auto w = std::make_shared<ClusterMixWorkload>(
-      std::move(clients), cell.mix(), std::move(pick),
-      cell.point.workload.value_size, cell.seed ^ 0x5CE7A810ull,
-      par_sites > 0 ? cell.clients() : 0);
-  out.run = wl::run_closed_loop(sim, w, cell_driver(cell));
-  nemesis.heal_all();
-
-  collect_net(sim, net, &out);
-  out.fleet_version = fleet_floor(site_versions);
-  out.violations = checker.violations().size();
-  out.ok = checker.ok();
-  if (!out.ok) out.error = checker.report();
-  return out;
+  return run_mix_cell(cell, w, checker, std::move(clients), par_sites);
 }
 
-CellOutcome run_zab_cell(const Cell& cell) {
+/// A zab/raftkv cell: the baseline world, the cell's network faults, and
+/// its mix.  No MUSIC ops, so the ECF oracle is vacuous for these cells.
+template <typename World, typename Workload>
+CellOutcome run_baseline_cell(const Cell& cell) {
   CellOutcome out;
   out.label = cell.label();
+  world::Options opt;
+  opt.seed = cell.seed;
+  opt.net.profile = profile_by_name(cell.profile());
+  opt.client_sites = world::grouped_sites(cell_placement(cell));
+  World w(std::move(opt));
 
-  sim::Simulation sim(cell.seed);
-  sim::NetworkConfig nc;
-  nc.profile = profile_by_name(cell.profile());
-  sim::Network net(sim, nc);
-  zab::ZabEnsemble ens(sim, net, zab::ZabConfig{}, {0, 1, 2});
-  ens.start();
-
-  fault::Nemesis nemesis(sim, net, {});
+  fault::Nemesis nemesis(w.sim, w.net, {});
   if (!arm_faults(cell, nemesis, &out)) return out;
 
-  std::vector<std::unique_ptr<zab::ZkClient>> clients;
-  std::vector<zab::ZkClient*> ptrs;
-  std::vector<int> per_site = cell_placement(cell);
-  for (int site = 0; site < 3; ++site) {
-    for (int i = 0; i < per_site[static_cast<size_t>(site)]; ++i) {
-      clients.push_back(std::make_unique<zab::ZkClient>(ens, site));
-      ptrs.push_back(clients.back().get());
-    }
-  }
-
-  auto w = std::make_shared<ZabMixWorkload>(
-      std::move(ptrs), cell.mix(), cell_keypick(cell),
+  auto mix = std::make_shared<Workload>(
+      w.client_ptrs(), cell.mix(), cell_keypick(cell),
       cell.point.workload.value_size, cell.seed ^ 0x5CE7A810ull);
-  out.run = wl::run_closed_loop(sim, w, cell_driver(cell));
+  out.run = wl::run_closed_loop(w.sim, mix, cell_driver(cell));
   nemesis.heal_all();
 
-  collect_net(sim, net, &out);
-  out.ok = true;  // no MUSIC ops: the ECF oracle is vacuous for this cell
-  return out;
-}
-
-CellOutcome run_cdb_cell(const Cell& cell) {
-  CellOutcome out;
-  out.label = cell.label();
-
-  sim::Simulation sim(cell.seed);
-  sim::NetworkConfig nc;
-  nc.profile = profile_by_name(cell.profile());
-  sim::Network net(sim, nc);
-  raftkv::RaftCluster cluster(sim, net, raftkv::RaftConfig{}, {0, 1, 2});
-  cluster.start();
-  cluster.wait_for_leader();
-
-  fault::Nemesis nemesis(sim, net, {});
-  if (!arm_faults(cell, nemesis, &out)) return out;
-
-  std::vector<std::unique_ptr<raftkv::TxClient>> clients;
-  std::vector<raftkv::TxClient*> ptrs;
-  std::vector<int> per_site = cell_placement(cell);
-  int id = 0;
-  for (int site = 0; site < 3; ++site) {
-    for (int i = 0; i < per_site[static_cast<size_t>(site)]; ++i) {
-      // Built stepwise (GCC 12 -Werror=restrict, see ds::Cell note).
-      std::string name = "c";
-      name += std::to_string(id++);
-      clients.push_back(
-          std::make_unique<raftkv::TxClient>(cluster, site, name));
-      ptrs.push_back(clients.back().get());
-    }
-  }
-
-  auto w = std::make_shared<CdbMixWorkload>(
-      std::move(ptrs), cell.mix(), cell_keypick(cell),
-      cell.point.workload.value_size, cell.seed ^ 0x5CE7A810ull);
-  out.run = wl::run_closed_loop(sim, w, cell_driver(cell));
-  nemesis.heal_all();
-
-  collect_net(sim, net, &out);
-  out.ok = true;  // no MUSIC ops: the ECF oracle is vacuous for this cell
+  collect_net(w.sim, w.net, &out);
+  out.ok = true;
   return out;
 }
 
@@ -808,10 +588,10 @@ CellOutcome run_cell(const Cell& cell, size_t par_sites) {
         case Protocol::Zab:
           // The zab/raftkv substitutes are not lane-safe; they always run
           // on the classic kernel regardless of par_sites.
-          out = run_zab_cell(cell);
+          out = run_baseline_cell<world::ZkWorld, ZabMixWorkload>(cell);
           break;
         case Protocol::RaftKv:
-          out = run_cdb_cell(cell);
+          out = run_baseline_cell<world::CdbWorld, CdbMixWorkload>(cell);
           break;
       }
     }

@@ -47,7 +47,9 @@ struct Violation {
       : invariant(std::move(i)), key(std::move(k)), detail(std::move(d)) {}
 };
 
-/// History-variable checker for ECF semantics.
+/// History-variable checker for ECF semantics.  It is also the replicas'
+/// LockObserver, so failure-detector preemptions reach it (attach with the
+/// world's observe(), see world/world.h).
 ///
 /// Thread-safe: one checker is typically shared by every client in a world,
 /// and under PDES those clients execute on concurrent site lanes, so each
@@ -55,7 +57,7 @@ struct Violation {
 /// — in classic single-threaded worlds).  The history itself stays
 /// deterministic because per-key event order is driven by the simulated
 /// timeline, not by which worker delivers the callback.
-class EcfChecker {
+class EcfChecker : public core::LockObserver {
  public:
   explicit EcfChecker(sim::Simulation& sim) : sim_(sim) {}
 
@@ -78,7 +80,7 @@ class EcfChecker {
   /// A criticalGet reported the key absent.
   void on_get_not_found(const Key& key, LockRef ref);
   void on_released(const Key& key, LockRef ref);
-  void on_forced_release(const Key& key, LockRef ref);
+  void on_forced_release(const Key& key, LockRef ref) override;
 
   // ---- Results. --------------------------------------------------------------
 
@@ -222,6 +224,13 @@ class CheckedClient {
     auto st = co_await inner_.forced_release(key, ref);
     if (st.ok()) checker_.on_forced_release(key, ref);
     co_return st;
+  }
+
+  /// removeLockReference (§VII): evicts a never-granted lockRef; no
+  /// transition to report.  Hands back the inner task itself: a wrapping
+  /// coroutine would add a resume event and shift seeded runs.
+  sim::Task<Status> remove_lock_ref(Key key, LockRef ref) {
+    return inner_.remove_lock_ref(std::move(key), ref);
   }
 
   core::MusicClient& inner() { return inner_; }

@@ -18,14 +18,6 @@ namespace music::cluster {
 namespace {
 
 using test::ClusterWorld;
-using test::ClusterWorldOptions;
-
-ClusterWorldOptions sharded(int shards, int groups = 0) {
-  ClusterWorldOptions opt;
-  opt.cluster.shards = shards;
-  opt.cluster.groups = groups;
-  return opt;
-}
 
 /// Background shard move for tests that overlap a move with traffic.
 sim::Task<void> do_move(Cluster* c, int shard, int to, Status* out) {
@@ -33,7 +25,7 @@ sim::Task<void> do_move(Cluster* c, int shard, int to, Status* out) {
 }
 
 TEST(ClusterClient, CriticalSectionsLandOnTheOwningGroup) {
-  ClusterWorld w(sharded(4));
+  ClusterWorld w(test::cluster_options(), 4);
   auto& c = w.make_client(0);
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     for (int i = 0; i < 8; ++i) {
@@ -64,7 +56,7 @@ TEST(ClusterClient, CriticalSectionsLandOnTheOwningGroup) {
 }
 
 TEST(ClusterClient, StaleEpochRouteRetriesWithWrongShard) {
-  ClusterWorld w(sharded(4));
+  ClusterWorld w(test::cluster_options(), 4);
   auto& c = w.make_client(0);
   int shard = w.cluster.snapshot()->route("k0");
   int src = w.cluster.snapshot()->group_of(shard);
@@ -94,7 +86,7 @@ TEST(ClusterClient, StaleEpochRouteRetriesWithWrongShard) {
 }
 
 TEST(ClusterClient, LockHeldAcrossAMoveStaysHeld) {
-  ClusterWorld w(sharded(4));
+  ClusterWorld w(test::cluster_options(), 4);
   auto& c = w.make_client(0);
   int shard = w.cluster.snapshot()->route("held");
   int src = w.cluster.snapshot()->group_of(shard);
@@ -127,7 +119,7 @@ TEST(ClusterClient, LockHeldAcrossAMoveStaysHeld) {
 }
 
 TEST(ClusterClient, MoveOverlappingTrafficKeepsOracleClean) {
-  ClusterWorld w(sharded(4));
+  ClusterWorld w(test::cluster_options(), 4);
   auto& c = w.make_client(0);
   int shard = w.cluster.snapshot()->route("hot");
   int src = w.cluster.snapshot()->group_of(shard);
@@ -154,7 +146,7 @@ TEST(ClusterClient, MoveOverlappingTrafficKeepsOracleClean) {
 }
 
 TEST(ClusterBatch, SplitsAcrossShardsAndStitchesInEnqueueOrder) {
-  ClusterWorld w(sharded(8));
+  ClusterWorld w(test::cluster_options(), 8);
   auto& c = w.make_client(0);
   Batch b(c);
   std::vector<size_t> put_idx;
@@ -189,7 +181,7 @@ TEST(ClusterBatch, SplitsAcrossShardsAndStitchesInEnqueueOrder) {
 }
 
 TEST(ClusterClient, GetAllKeysMergesAcrossGroups) {
-  ClusterWorld w(sharded(4));
+  ClusterWorld w(test::cluster_options(), 4);
   auto& c = w.make_client(0);
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     for (int i = 0; i < 10; ++i) {
@@ -210,7 +202,7 @@ TEST(ClusterClient, GetAllKeysMergesAcrossGroups) {
 TEST(ClusterClient, SharedGroupsServeMultipleShards) {
   // 8 shards on 2 groups: routing still works, and a move between the two
   // groups re-homes exactly one shard's keys.
-  ClusterWorld w(sharded(8, 2));
+  ClusterWorld w(test::cluster_options(), 8, 2);
   EXPECT_EQ(w.cluster.num_groups(), 2);
   auto& c = w.make_client(1);
   bool ok = w.runner.run([&]() -> sim::Task<void> {
@@ -229,7 +221,7 @@ TEST(ClusterClient, SharedGroupsServeMultipleShards) {
 }
 
 TEST(ClusterMetrics, ExportsPerGroupCounters) {
-  ClusterWorld w(sharded(4));
+  ClusterWorld w(test::cluster_options(), 4);
   auto& c = w.make_client(0);
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     auto ref = co_await c.create_lock_ref("mk");

@@ -21,7 +21,6 @@ namespace music::cluster {
 namespace {
 
 using test::ClusterWorld;
-using test::ClusterWorldOptions;
 
 /// Delayed shard move, spawned alongside the workload.
 sim::Task<void> delayed_move(ClusterWorld* w, int shard, int to,
@@ -74,10 +73,7 @@ std::vector<Key> keys_in_shard(const Cluster& cluster, const std::string& stem,
 
 TEST(ClusterMove, NoSilentLossUnderFaultsAcrossEightSeeds) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    ClusterWorldOptions opt;
-    opt.seed = seed;
-    opt.cluster.shards = 4;
-    ClusterWorld w(opt);
+    ClusterWorld w(test::cluster_options(seed), 4);
     w.checker.set_lenient_stale_grants(true);  // faulted run, like run.cc
 
     int shard = w.cluster.snapshot()->route("keep0");
@@ -143,9 +139,7 @@ TEST(ClusterMove, NoSilentLossUnderFaultsAcrossEightSeeds) {
 }
 
 TEST(ClusterMove, ConcurrentMoveOfTheSameShardConflicts) {
-  ClusterWorldOptions opt;
-  opt.cluster.shards = 2;
-  ClusterWorld w2(opt);
+  ClusterWorld w2(test::cluster_options(), 2);
   Status first = Status::Err(OpStatus::Timeout);
   bool first_done = false;
   bool ran = w2.runner.run([&]() -> sim::Task<void> {
@@ -166,9 +160,7 @@ TEST(ClusterMove, ConcurrentMoveOfTheSameShardConflicts) {
 }
 
 TEST(ClusterMove, MoveToTheCurrentOwnerIsANoOp) {
-  ClusterWorldOptions opt;
-  opt.cluster.shards = 2;
-  ClusterWorld w(opt);
+  ClusterWorld w(test::cluster_options(), 2);
   int owner = w.cluster.snapshot()->group_of(0);
   uint64_t epoch_before = w.cluster.snapshot()->epoch();
   bool ran = w.runner.run([&]() -> sim::Task<void> {
@@ -180,9 +172,7 @@ TEST(ClusterMove, MoveToTheCurrentOwnerIsANoOp) {
 }
 
 TEST(ClusterMove, RejectsOutOfRangeArguments) {
-  ClusterWorldOptions opt;
-  opt.cluster.shards = 2;
-  ClusterWorld w(opt);
+  ClusterWorld w(test::cluster_options(), 2);
   bool ran = w.runner.run([&]() -> sim::Task<void> {
     CO_ASSERT_EQ((co_await w.cluster.move_shard(-1, 0)).status(),
                  OpStatus::Nack);

@@ -104,14 +104,10 @@ struct RunOutcome {
 /// The 64-group / 8-site world: every shard its own group, group homes
 /// staggered round-robin across 8 sites, 16 logical clients (2 per site).
 RunOutcome run_big_cluster(uint64_t seed, size_t workers) {
-  test::ClusterWorldOptions opt;
-  opt.seed = seed;
-  opt.cluster.shards = 64;
-  opt.cluster.groups = 0;  // one group per shard
-  opt.cluster.sites = 8;
+  world::Options opt = test::cluster_options(seed);
   opt.net.profile = sim::LatencyProfile::uniform(8, 40.0, 0.2);
   opt.pdes_workers = workers;
-  test::ClusterWorld w(opt);
+  test::ClusterWorld w(opt, /*shards=*/64, /*groups=*/0, /*sites=*/8);
   EXPECT_TRUE(w.sim.pdes());
   EXPECT_EQ(w.sim.pdes_sites(), 8);
 
@@ -197,12 +193,9 @@ sim::Task<void> mover(test::ClusterWorld& w, int moves, Fnv& log) {
 /// group homed at every site, so shared core clients never cross lanes no
 /// matter where shards move).
 uint64_t run_moves_under_pdes(size_t workers) {
-  test::ClusterWorldOptions opt;
-  opt.seed = 11;
-  opt.cluster.shards = 8;
-  opt.cluster.groups = 0;
-  opt.pdes_workers = workers;  // default 3-site uniform profile
-  test::ClusterWorld w(opt);
+  world::Options opt = test::cluster_options(11);  // 3-site uniform profile
+  opt.pdes_workers = workers;
+  test::ClusterWorld w(opt, /*shards=*/8);
   EXPECT_TRUE(w.sim.pdes());
 
   constexpr int kClients = 6;

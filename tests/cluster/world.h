@@ -1,72 +1,40 @@
-// Shared fixture for cluster-layer tests: a sharded MUSIC deployment
-// (cluster::Cluster over the sim fabric) plus the TaskRunner idiom from
-// tests/util/world.h.
+// Shared fixture for cluster-layer tests: a world::ClusterWorld plus the one
+// ECF checker every shard-aware test client reports to, and the TaskRunner
+// idiom from tests/util/world.h.
 #pragma once
 
-#include <memory>
-#include <vector>
+#include <utility>
 
-#include "cluster/client.h"
-#include "cluster/cluster.h"
-#include "sim/network.h"
-#include "sim/simulation.h"
 #include "util/world.h"
 #include "verify/oracle.h"
+#include "world/world.h"
 
 namespace music::test {
 
-struct ClusterWorldOptions {
-  uint64_t seed = 1;
-  cluster::ClusterConfig cluster{};
-  /// > 0 switches the world to conservative PDES with this many site-lane
-  /// workers before the Network is built (lookahead derived from the
-  /// profile).  0 = classic kernel; existing tests and goldens unaffected.
-  size_t pdes_workers = 0;
+/// world::Options for the cluster fixtures: the fast co-located profile
+/// (cluster tests exercise routing and moves, not WAN latency shape), with
+/// the failure detector running as production MUSIC does.
+inline world::Options cluster_options(uint64_t seed = 1) {
+  world::Options o;
+  o.seed = seed;
+  o.net.profile = sim::LatencyProfile::uniform(3, 1.0, 0.2);
+  o.failure_detector = true;
+  return o;
+}
 
-  ClusterWorldOptions() {
-    // The fast co-located profile: cluster tests exercise routing and
-    // moves, not WAN latency shape.
-    net.profile = sim::LatencyProfile::uniform(3, 1.0, 0.2);
-  }
-
-  sim::NetworkConfig net{};
-};
-
-/// A sharded deployment plus one ECF checker shared by all shard-aware
-/// clients made through make_client().
-class ClusterWorld {
+class ClusterWorld : public world::ClusterWorld {
  public:
-  explicit ClusterWorld(ClusterWorldOptions opt = ClusterWorldOptions())
-      : options(std::move(opt)),
-        sim(options.seed),
-        net(sim, [this] {
-          // enable_pdes must precede Network construction (the net arms
-          // per-lane delivery state).
-          if (options.pdes_workers > 0) {
-            sim::Simulation::PdesOptions po;
-            po.sites = options.net.profile.num_sites();
-            po.workers = options.pdes_workers;
-            po.lookahead = sim::Network::conservative_lookahead(options.net);
-            sim.enable_pdes(po);
-          }
-          return options.net;
-        }()),
-        cluster(sim, net, options.cluster),
+  explicit ClusterWorld(world::Options opt, int shards = 1, int groups = 0,
+                        int sites = 3)
+      : world::ClusterWorld(std::move(opt), shards, groups, sites),
         checker(sim),
-        runner(sim) {}
-
-  cluster::Client& make_client(int site) {
-    clients.push_back(
-        std::make_unique<cluster::Client>(cluster, site, &checker));
-    return *clients.back();
+        runner(sim) {
+    observe(&checker);
   }
 
-  ClusterWorldOptions options;
-  sim::Simulation sim;
-  sim::Network net;
-  cluster::Cluster cluster;
+  cluster::Client& make_client(int site) { return add_client(site, &checker); }
+
   verify::EcfChecker checker;
-  std::vector<std::unique_ptr<cluster::Client>> clients;
   TaskRunner runner;
 };
 

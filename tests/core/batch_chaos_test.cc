@@ -20,7 +20,6 @@ namespace music::verify {
 namespace {
 
 using test::MusicWorld;
-using test::WorldOptions;
 
 constexpr int kKeys = 2;
 constexpr int kClients = 4;
@@ -103,9 +102,9 @@ sim::Task<void> chaos_life(MusicWorld& w, CheckedClient c, sim::Time end,
 class BatchEcfProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BatchEcfProperty, BatchedSectionsHoldEcfUnderForcedReleases) {
-  WorldOptions opt;
+  world::Options opt = test::options();
   opt.seed = GetParam();
-  opt.clients_per_site = 2;  // 6 clients: 4 workers + 1 chaos
+  opt.client_sites = world::grouped_sites(2);  // 6 clients: 4 workers + 1 chaos
   MusicWorld w(opt);
   EcfChecker checker(w.sim);
   checker.set_lenient_stale_grants(true);

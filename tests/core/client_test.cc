@@ -11,7 +11,6 @@ namespace music::core {
 namespace {
 
 using test::MusicWorld;
-using test::WorldOptions;
 
 TEST(Client, PrefersItsLocalReplica) {
   MusicWorld w;
@@ -105,7 +104,7 @@ TEST(Client, EventualOpsRetryAcrossReplicas) {
 }
 
 TEST(Client, PollBudgetBoundsAcquireBlocking) {
-  WorldOptions opt;
+  world::Options opt = test::options();
   MusicWorld w(opt);
   auto& c0 = w.client(0);
   auto& c1 = w.client(1);
@@ -147,7 +146,7 @@ TEST(Client, DecorrelatedBackoffStaysWithinEnvelope) {
 TEST(Client, OpDeadlineBoundsRetryLoop) {
   // A dead store majority makes every attempt a retryable Timeout; the
   // per-op deadline must cut the loop long before max_attempts would.
-  WorldOptions opt;
+  world::Options opt = test::options();
   opt.client.op_deadline = sim::sec(2);
   MusicWorld w(opt);
   auto& c = w.client(0);
@@ -175,7 +174,7 @@ TEST(Client, ConsecutiveFailuresDemoteReplicas) {
   // after health_fail_threshold consecutive failures the client demotes
   // them.  Once the stores heal, quarantine must not wedge the client (it
   // falls back to up replicas when everything healthy is demoted).
-  WorldOptions opt;
+  world::Options opt = test::options();
   opt.client.max_attempts = 12;
   MusicWorld w(opt);
   auto& c = w.client(0);

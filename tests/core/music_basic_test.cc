@@ -10,7 +10,6 @@ namespace music::core {
 namespace {
 
 using test::MusicWorld;
-using test::WorldOptions;
 
 TEST(MusicBasic, Listing1EndToEnd) {
   MusicWorld w;
@@ -198,8 +197,8 @@ TEST(MusicLatency, OperationCostsMatchFig5bShape) {
 
 TEST(MusicBasic, WorksAcrossAllTable2Profiles) {
   for (auto& profile : sim::LatencyProfile::table2()) {
-    WorldOptions opt;
-    opt.profile = profile;
+    world::Options opt = test::options();
+    opt.net.profile = profile;
     MusicWorld w(opt);
     auto& c = w.client(0);
     bool ok = w.runner.run([&]() -> sim::Task<void> {
@@ -214,7 +213,7 @@ TEST(MusicBasic, WorksAcrossAllTable2Profiles) {
 }
 
 TEST(MusicBasic, NineNodeShardedClusterWorks) {
-  WorldOptions opt;
+  world::Options opt = test::options();
   opt.store_nodes = 9;
   MusicWorld w(opt);
   auto& c = w.client(0);

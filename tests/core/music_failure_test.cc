@@ -12,7 +12,6 @@ namespace music::core {
 namespace {
 
 using test::MusicWorld;
-using test::WorldOptions;
 
 TEST(ForcedRelease, NextHolderSeesACommittedTrueValue) {
   MusicWorld w;
@@ -150,7 +149,7 @@ TEST(ForcedRelease, OfAlreadyReleasedLockOnlyCausesSpuriousSync) {
 TEST(FailureDetector, PreemptsDeadLockholder) {
   // Granted holders are preempted via the T bound (the startTime column);
   // use a small T so the dead holder is detected quickly.
-  WorldOptions opt;
+  world::Options opt = test::options();
   opt.music.t_max_cs = sim::sec(6);
   opt.music.holder_timeout = sim::sec(8);
   opt.music.fd_interval = sim::sec(1);
@@ -184,7 +183,7 @@ TEST(FailureDetector, PreemptsDeadLockholder) {
 TEST(FailureDetector, CollectsOrphanLockRefs) {
   // §IV-B: a client createLockRefs then dies before acquiring; the orphan
   // ref reaching the head is removed by forcedRelease.
-  WorldOptions opt;
+  world::Options opt = test::options();
   opt.music.holder_timeout = sim::sec(5);
   opt.music.fd_interval = sim::sec(1);
   MusicWorld w(opt);
@@ -206,7 +205,7 @@ TEST(FailureDetector, CollectsOrphanLockRefs) {
 }
 
 TEST(TBound, ExpiredCriticalSectionRejectsOps) {
-  WorldOptions opt;
+  world::Options opt = test::options();
   opt.music.t_max_cs = sim::sec(5);
   MusicWorld w(opt);
   auto& c = w.client(0);
@@ -265,7 +264,7 @@ TEST(Partition, MinoritySideClientIsToldNothingFalse) {
   // (quorum unreachable) but must not observe success.  T is raised so the
   // critical section survives the ~90s the client spends retrying into the
   // partition (with the default T=60s it would correctly expire instead).
-  WorldOptions opt;
+  world::Options opt = test::options();
   opt.music.t_max_cs = sim::sec(600);
   MusicWorld w(opt);
   auto& c = w.client(0);

@@ -10,7 +10,6 @@ namespace music::core {
 namespace {
 
 using test::MusicWorld;
-using test::WorldOptions;
 
 TEST(Guards, SecondInQueuePollsUntilFirstReleases) {
   MusicWorld w;
@@ -85,7 +84,7 @@ TEST(Guards, FairnessGrantsInLockRefOrder) {
   // Concurrent createLockRefs can leave orphan refs (an LWT retry whose
   // first proposal was replayed); the failure detector collects orphans at
   // the head (SIV-B), after which grants proceed in lockRef order.
-  WorldOptions opt;
+  world::Options opt = test::options();
   opt.music.holder_timeout = sim::sec(4);
   opt.music.fd_interval = sim::sec(1);
   MusicWorld w(opt);
@@ -116,7 +115,7 @@ TEST(Guards, FairnessGrantsInLockRefOrder) {
 }
 
 TEST(Mscp, ProvidesTheSameSemanticsViaLwtPuts) {
-  WorldOptions opt;
+  world::Options opt = test::options();
   opt.music.put_mode = PutMode::Lwt;  // MSCP
   MusicWorld w(opt);
   auto& c = w.client(0);
@@ -143,7 +142,7 @@ TEST(Mscp, CriticalPutCostsFourRoundTripsVsOneForMusic) {
   // The heart of Fig. 5(b): MSCP's put is an LWT ('P') at ~4 RTTs; MUSIC's
   // is a quorum write ('Q') at ~1 RTT.
   auto measure = [](PutMode mode) {
-    WorldOptions opt;
+    world::Options opt = test::options();
     opt.music.put_mode = mode;
     MusicWorld w(opt);
     auto& c = w.client(0);

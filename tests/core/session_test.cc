@@ -18,7 +18,6 @@ namespace music::core {
 namespace {
 
 using test::MusicWorld;
-using test::WorldOptions;
 
 TEST(CriticalSection, LifecyclePutGetExit) {
   MusicWorld w;
@@ -66,7 +65,7 @@ TEST(CriticalSection, DestructorReleasesDetached) {
 TEST(Session, EightIndependentPutsCostOneQuorumRoundTrip) {
   uint64_t batched = 0, unbatched = 0;
   {
-    WorldOptions opt;
+    world::Options opt = test::options();
     opt.net.jitter_frac = 0.0;
     MusicWorld w(opt);
     obs::Tracer tracer;
@@ -107,7 +106,7 @@ TEST(Session, EightIndependentPutsCostOneQuorumRoundTrip) {
     EXPECT_EQ(batched, 2u);
   }
   {
-    WorldOptions opt;
+    world::Options opt = test::options();
     opt.net.jitter_frac = 0.0;
     MusicWorld w(opt);
     obs::Tracer tracer;
@@ -159,7 +158,7 @@ TEST(Session, MixedRoundsPreserveProgramOrder) {
 // In MSCP/Lwt mode every batched put still runs a full LWT (4 RTTs): the
 // batch saves wire requests but cannot coalesce conditional updates.
 TEST(Session, LwtModeBatchPays4RttsPerPut) {
-  WorldOptions opt;
+  world::Options opt = test::options();
   opt.net.jitter_frac = 0.0;
   opt.music.put_mode = PutMode::Lwt;
   MusicWorld w(opt);
@@ -212,7 +211,7 @@ TEST(Session, EmptyFlushIsNoOpAndSessionIsReusable) {
 // the replica aborts deterministically at the first round that sees a
 // superseded lockRef.
 TEST(Session, ForcedReleaseMidBatchFailsTheTail) {
-  WorldOptions opt;
+  world::Options opt = test::options();
   opt.net.jitter_frac = 0.0;
   MusicWorld w(opt);
   constexpr int kPuts = 12;

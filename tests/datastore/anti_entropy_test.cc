@@ -8,7 +8,7 @@
 namespace music::ds {
 namespace {
 
-using test::StoreWorld;
+using test::MusicWorld;
 
 StoreConfig no_hints() {
   StoreConfig cfg;
@@ -19,7 +19,7 @@ StoreConfig no_hints() {
 }
 
 TEST(AntiEntropy, HealsAReplicaThatMissedWrites) {
-  StoreWorld w(1, sim::LatencyProfile::profile_lus(), 3, no_hints());
+  MusicWorld w(test::store_options(1, 3, no_hints()));
   w.store.replica(2).set_down(true);
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     for (int i = 0; i < 5; ++i) {
@@ -51,7 +51,7 @@ TEST(AntiEntropy, HealsAReplicaThatMissedWrites) {
 }
 
 TEST(AntiEntropy, RepairsBothDirections) {
-  StoreWorld w(2, sim::LatencyProfile::profile_lus(), 3, no_hints());
+  MusicWorld w(test::store_options(2, 3, no_hints()));
   // Seed divergent state directly: each replica knows something the others
   // do not, plus conflicting versions of a shared key.
   w.store.replica(0).apply_write("only-a", Cell(Value("a"), 1));
@@ -70,7 +70,7 @@ TEST(AntiEntropy, RepairsBothDirections) {
 }
 
 TEST(AntiEntropy, DoesNotResurrectOlderValues) {
-  StoreWorld w(3, sim::LatencyProfile::profile_lus(), 3, no_hints());
+  MusicWorld w(test::store_options(3, 3, no_hints()));
   w.store.replica(0).apply_write("k", Cell(Value("stale"), 1));
   w.store.replica(1).apply_write("k", Cell(Value("fresh"), 5));
   w.store.replica(2).apply_write("k", Cell(Value("fresh"), 5));
@@ -83,7 +83,7 @@ TEST(AntiEntropy, DoesNotResurrectOlderValues) {
 }
 
 TEST(AntiEntropy, SkipsPartitionedPeersThenCatchesUp) {
-  StoreWorld w(4, sim::LatencyProfile::profile_lus(), 3, no_hints());
+  MusicWorld w(test::store_options(4, 3, no_hints()));
   w.store.replica(0).apply_write("k", Cell(Value("v"), 9));
   w.net.partition_sites({0}, {1, 2});
   w.store.start_anti_entropy();

@@ -10,7 +10,7 @@
 namespace music::ds {
 namespace {
 
-using test::StoreWorld;
+using test::MusicWorld;
 
 LwtUpdate make_increment() {
   return [](const std::optional<Cell>& cur) {
@@ -20,7 +20,7 @@ LwtUpdate make_increment() {
 }
 
 TEST(Lwt, AppliesSimpleUpdate) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     ds::LwtUpdate inc = make_increment();
     auto r = co_await w.store.replica(0).lwt("cnt", inc);
@@ -35,7 +35,7 @@ TEST(Lwt, AppliesSimpleUpdate) {
 }
 
 TEST(Lwt, ConditionFailureDoesNotWrite) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     ds::LwtUpdate put_if_absent = [](const std::optional<Cell>& cur) {
       if (cur.has_value()) return LwtDecision(false, Value(), std::nullopt);
@@ -57,7 +57,7 @@ TEST(Lwt, CostsFourRoundTripsToNearestQuorumPeer) {
   // §X-A1: an LWT takes 4 RTTs.  From site 0 (Ohio) the nearest quorum
   // peer is N.Calif (53.79ms RTT): a single uncontended LWT should take
   // roughly 4 x 54ms, far more than one quorum write (~1 RTT).
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   sim::Time lwt_cost = 0, put_cost = 0;
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     ds::LwtUpdate inc = make_increment();
@@ -84,12 +84,12 @@ class LwtContention : public ::testing::TestWithParam<uint64_t> {};
 // updates would show as final < acknowledged.  Exactly-once effects
 // require conditional updates, which the next test exercises.
 TEST_P(LwtContention, ConcurrentIncrementsNeverLoseAcknowledgedUpdates) {
-  StoreWorld w(GetParam());
+  MusicWorld w(test::store_options(GetParam()));
   constexpr int kClients = 4;
   constexpr int kIncrements = 8;
   int finished = 0;
   for (int c = 0; c < kClients; ++c) {
-    sim::spawn(w.sim, [](StoreWorld& world, int site, int& fin) -> sim::Task<void> {
+    sim::spawn(w.sim, [](MusicWorld& world, int site, int& fin) -> sim::Task<void> {
       auto& coord = world.store.replica_at_site(site % 3);
       for (int i = 0; i < kIncrements; ++i) {
         ds::LwtUpdate inc = make_increment();
@@ -125,13 +125,13 @@ class LwtCasContention : public ::testing::TestWithParam<uint64_t> {};
 // whether its tag actually landed.  The final counter equals the number of
 // distinct applied writes.
 TEST_P(LwtCasContention, ConditionalWritesAreExactlyOnce) {
-  StoreWorld w(GetParam());
+  MusicWorld w(test::store_options(GetParam()));
   constexpr int kClients = 3;
   constexpr int kOps = 6;
   int finished = 0;
   auto total_applied = std::make_shared<int>(0);
   for (int c = 0; c < kClients; ++c) {
-    sim::spawn(w.sim, [](StoreWorld& world, int me, int& fin,
+    sim::spawn(w.sim, [](MusicWorld& world, int me, int& fin,
                          std::shared_ptr<int> applied) -> sim::Task<void> {
       auto& coord = world.store.replica_at_site(me % 3);
       for (int i = 0; i < kOps; ++i) {
@@ -169,7 +169,7 @@ TEST_P(LwtCasContention, ConditionalWritesAreExactlyOnce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LwtCasContention, ::testing::Values(2, 11, 77));
 
 TEST(Lwt, SurvivesOneReplicaDown) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   w.store.replica(2).set_down(true);
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     ds::LwtUpdate inc = make_increment();
@@ -181,7 +181,7 @@ TEST(Lwt, SurvivesOneReplicaDown) {
 }
 
 TEST(Lwt, FailsWithoutQuorum) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   w.store.replica(1).set_down(true);
   w.store.replica(2).set_down(true);
   bool ok = w.runner.run([&]() -> sim::Task<void> {
@@ -202,7 +202,7 @@ TEST(Lwt, SurvivesFullFleetRestartFromTableSnapshot) {
   // is left to refuse the small ballot), but the commit must NOT lose LWW
   // against the row it read: that would be an acked update that never
   // becomes visible (a lock queue wedged forever, in lockstore terms).
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     // A long-lived fleet: the row's commit timestamp is a large ballot.
     w.store.replica(0).advance_ballot_past(ScalarTs{1} << 40);
@@ -236,7 +236,7 @@ TEST(Lwt, SurvivesFullFleetRestartFromTableSnapshot) {
 }
 
 TEST(Lwt, CommitTimestampOverrideIsUsed) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     ds::LwtUpdate set_with_ts = [](const std::optional<Cell>&) {
       return LwtDecision(true, Value("x"), ScalarTs{777});

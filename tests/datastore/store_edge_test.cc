@@ -8,10 +8,10 @@
 namespace music::ds {
 namespace {
 
-using test::StoreWorld;
+using test::MusicWorld;
 
 TEST(StoreEdge, TimestampTieKeepsFirstWriter) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   auto& r = w.store.replica(0);
   EXPECT_TRUE(r.apply_write("k", Cell(Value("first"), 100)));
   EXPECT_FALSE(r.apply_write("k", Cell(Value("second"), 100)));
@@ -19,7 +19,7 @@ TEST(StoreEdge, TimestampTieKeepsFirstWriter) {
 }
 
 TEST(StoreEdge, ConsistencyAllNeedsEveryReplica) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     auto st = co_await w.store.replica(0).put("k", Cell(Value("v"), 1),
                                               Consistency::All);
@@ -36,7 +36,7 @@ TEST(StoreEdge, ConsistencyAllNeedsEveryReplica) {
 }
 
 TEST(StoreEdge, ReadAtAllLevelsAgreesAfterSettling) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     co_await w.store.replica(0).put("k", Cell(Value("v"), 5),
                                     Consistency::All);
@@ -52,7 +52,7 @@ TEST(StoreEdge, ReadAtAllLevelsAgreesAfterSettling) {
 
 TEST(StoreEdge, CoordinatorCrashMidWriteLosesNothingCommitted) {
   // A coordinator dies after its write reached a quorum: the value stays.
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     auto st = co_await w.store.replica(0).put("k", Cell(Value("v"), 1),
                                               Consistency::Quorum);
@@ -68,11 +68,11 @@ TEST(StoreEdge, CoordinatorCrashMidWriteLosesNothingCommitted) {
 TEST(StoreEdge, LwtOnDistinctKeysDoesNotContend) {
   // Paxos state is per key: concurrent LWTs on different keys finish in
   // first-attempt time (no ballot conflicts).
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   int done = 0;
   sim::Time worst = 0;
   for (int i = 0; i < 4; ++i) {
-    sim::spawn(w.sim, [](StoreWorld& world, int ki, int& d, sim::Time& wmax)
+    sim::spawn(w.sim, [](MusicWorld& world, int ki, int& d, sim::Time& wmax)
                           -> sim::Task<void> {
       ds::LwtUpdate set = [](const std::optional<Cell>&) {
         return LwtDecision(true, Value("x"), std::nullopt);
@@ -91,7 +91,7 @@ TEST(StoreEdge, LwtOnDistinctKeysDoesNotContend) {
 }
 
 TEST(StoreEdge, LwtSurvivesReplicaCrashMidProtocol) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   // Crash a replica while the LWT's rounds are in flight.
   w.sim.schedule(sim::ms(30), [&] { w.store.replica(2).set_down(true); });
   bool ok = w.runner.run([&]() -> sim::Task<void> {
@@ -108,7 +108,7 @@ TEST(StoreEdge, LwtSurvivesReplicaCrashMidProtocol) {
 }
 
 TEST(StoreEdge, HintsAccumulateAndDrainInOrderOfReachability) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   w.store.replica(2).set_down(true);
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     for (int i = 0; i < 10; ++i) {
@@ -164,7 +164,7 @@ TEST(StoreEdge, DroppyNetworkStillConvergesViaRetries) {
 }
 
 TEST(StoreEdge, ScanFindsNothingForUnknownPrefix) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     auto keys = co_await w.store.replica(0).scan_local_keys("ghost:");
     CO_ASSERT_TRUE(keys.ok());

@@ -11,10 +11,10 @@
 namespace music::ds {
 namespace {
 
-using test::StoreWorld;
+using test::MusicWorld;
 
 TEST(ApplyWrite, LastWriteWinsByTimestamp) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   auto& r = w.store.replica(0);
   EXPECT_TRUE(r.apply_write("k", Cell(Value("a"), 10)));
   EXPECT_FALSE(r.apply_write("k", Cell(Value("b"), 5)));    // older: rejected
@@ -24,7 +24,7 @@ TEST(ApplyWrite, LastWriteWinsByTimestamp) {
 }
 
 TEST(QuorumOps, WriteThenReadReturnsValue) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     auto st = co_await w.store.replica_at_site(0).put(
         "k", Cell(Value("v1"), 100), Consistency::Quorum);
@@ -38,7 +38,7 @@ TEST(QuorumOps, WriteThenReadReturnsValue) {
 }
 
 TEST(QuorumOps, MissingKeyIsNotFound) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     auto g = co_await w.store.replica(0).get("nope", Consistency::Quorum);
     EXPECT_EQ(g.status(), OpStatus::NotFound);
@@ -47,7 +47,7 @@ TEST(QuorumOps, MissingKeyIsNotFound) {
 }
 
 TEST(QuorumOps, StaleTimestampDoesNotOverwrite) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     co_await w.store.replica(0).put("k", Cell(Value("new"), 100),
                                     Consistency::Quorum);
@@ -61,7 +61,7 @@ TEST(QuorumOps, StaleTimestampDoesNotOverwrite) {
 }
 
 TEST(QuorumOps, WritesEventuallyReachAllReplicas) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     co_await w.store.replica(0).put("k", Cell(Value("v"), 1),
                                     Consistency::Quorum);
@@ -79,7 +79,7 @@ TEST(QuorumOps, WritesEventuallyReachAllReplicas) {
 TEST(ConsistencyOne, LocalReadCanBeStale) {
   // CL::One reads the local replica: immediately after a remote quorum
   // write it may legitimately miss the value — eventual consistency.
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   bool saw_stale = false;
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     // Write coordinated far away (site 2); read at site 0 immediately.
@@ -94,7 +94,7 @@ TEST(ConsistencyOne, LocalReadCanBeStale) {
 }
 
 TEST(ReadRepair, QuorumReadHealsStaleReplica) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   // Manually seed divergent replicas (replica 0 stale).
   w.store.replica(0).apply_write("k", Cell(Value("old"), 1));
   w.store.replica(1).apply_write("k", Cell(Value("new"), 2));
@@ -110,7 +110,7 @@ TEST(ReadRepair, QuorumReadHealsStaleReplica) {
 }
 
 TEST(Placement, ThreeNodeClusterStoresEverywhere) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   auto p = w.store.placement("anything");
   EXPECT_EQ(p.size(), 3u);
   std::set<sim::NodeId> uniq(p.begin(), p.end());
@@ -118,7 +118,7 @@ TEST(Placement, ThreeNodeClusterStoresEverywhere) {
 }
 
 TEST(Placement, NineNodeClusterKeepsOneReplicaPerSite) {
-  StoreWorld w(1, sim::LatencyProfile::profile_lus(), 9);
+  MusicWorld w(test::store_options(1, 9));
   for (int i = 0; i < 50; ++i) {
     auto p = w.store.placement("key" + std::to_string(i));
     ASSERT_EQ(p.size(), 3u);
@@ -129,7 +129,7 @@ TEST(Placement, NineNodeClusterKeepsOneReplicaPerSite) {
 }
 
 TEST(Placement, KeysShardAcrossNineNodes) {
-  StoreWorld w(1, sim::LatencyProfile::profile_lus(), 9);
+  MusicWorld w(test::store_options(1, 9));
   std::set<sim::NodeId> used;
   for (int i = 0; i < 200; ++i) {
     for (auto n : w.store.placement("key" + std::to_string(i))) used.insert(n);
@@ -138,7 +138,7 @@ TEST(Placement, KeysShardAcrossNineNodes) {
 }
 
 TEST(Scan, LocalPrefixScanFindsKeys) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     for (int i = 0; i < 5; ++i) {
       co_await w.store.replica(0).put("job:" + std::to_string(i),
@@ -157,7 +157,7 @@ TEST(Scan, LocalPrefixScanFindsKeys) {
 }
 
 TEST(Failure, QuorumSurvivesOneReplicaDown) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   w.store.replica(2).set_down(true);
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     auto st = co_await w.store.replica(0).put("k", Cell(Value("v"), 1),
@@ -170,7 +170,7 @@ TEST(Failure, QuorumSurvivesOneReplicaDown) {
 }
 
 TEST(Failure, QuorumFailsWithTwoReplicasDown) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   w.store.replica(1).set_down(true);
   w.store.replica(2).set_down(true);
   bool ok = w.runner.run([&]() -> sim::Task<void> {
@@ -186,7 +186,7 @@ TEST(Failure, QuorumFailsWithTwoReplicasDown) {
 }
 
 TEST(HintedHandoff, DownReplicaCatchesUpAfterRestart) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   w.store.replica(2).set_down(true);
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     auto st = co_await w.store.replica(0).put("k", Cell(Value("v"), 7),
@@ -203,7 +203,7 @@ TEST(HintedHandoff, DownReplicaCatchesUpAfterRestart) {
 }
 
 TEST(Partition, MinorityCoordinatorTimesOutThenHeals) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   w.net.partition_sites({0}, {1, 2});
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     auto st = co_await w.store.replica_at_site(0).put(

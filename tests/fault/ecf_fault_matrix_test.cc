@@ -43,7 +43,6 @@ namespace music::verify {
 namespace {
 
 using test::MusicWorld;
-using test::WorldOptions;
 
 /// Seeds for the matrix: 1..N where N comes from MUSIC_FAULT_SEEDS.
 std::vector<uint64_t> matrix_seeds() {
@@ -92,22 +91,6 @@ struct SeedOutcome {
       co_return;                              \
     }                                         \
   } while (0)
-
-/// Nemesis crash hooks wired to a MusicWorld: store crashes honour the
-/// amnesia-vs-durable distinction (amnesia wipes the replica's table and
-/// acceptor state before it comes back), MUSIC crashes route through
-/// MusicReplica::set_down which drops soft state on amnesia.
-fault::NemesisHooks world_hooks(MusicWorld& w) {
-  fault::NemesisHooks hooks;
-  hooks.crash_store = [&w](int replica, bool down, bool amnesia) {
-    if (down && amnesia) w.store.replica(replica).wipe_state();
-    w.store.replica(replica).set_down(down);
-  };
-  hooks.crash_music = [&w](int replica, bool down, bool amnesia) {
-    w.replica(replica).set_down(down, amnesia);
-  };
-  return hooks;
-}
 
 constexpr int kKeys = 2;
 
@@ -192,7 +175,7 @@ struct IsolationOutcome {
 /// LWW order; with `skip_sync` the zombie write wins and the new holder
 /// reads it — a Latest-State violation the oracle must catch.
 IsolationOutcome run_isolation_scenario(uint64_t seed, bool skip_sync) {
-  WorldOptions opt;
+  world::Options opt = test::options();
   opt.seed = seed;
   // No repair channels: the zombie write must be fenced out by the
   // synchronization alone, not papered over by hints or read repair.
@@ -202,7 +185,7 @@ IsolationOutcome run_isolation_scenario(uint64_t seed, bool skip_sync) {
   MusicWorld w(opt);
   EcfChecker checker(w.sim);
   checker.set_lenient_stale_grants(true);
-  fault::Nemesis nemesis(w.sim, w.net, world_hooks(w));
+  fault::Nemesis nemesis(w.sim, w.net, w.nemesis_hooks());
   CheckedClient zombie(w.client(0), checker);   // site 0
   CheckedClient usurper(w.client(1), checker);  // site 1
 
@@ -283,7 +266,7 @@ TEST(EcfFaultMatrixTeeth, WeakenedFencingTripsTheOracle) {
 // ---- Lock-holder crash mid-batch ------------------------------------------
 
 SeedOutcome run_midbatch_scenario(uint64_t seed) {
-  WorldOptions opt;
+  world::Options opt = test::options();
   opt.seed = seed;
   MusicWorld w(opt);
   EcfChecker checker(w.sim);
@@ -378,7 +361,7 @@ TEST(EcfFaultMatrix, HolderCrashMidBatchKeepsOkPrefixNotLockHolderTail) {
 // ---- Dead store majority ---------------------------------------------------
 
 SeedOutcome run_dead_majority_scenario(uint64_t seed) {
-  WorldOptions opt;
+  world::Options opt = test::options();
   opt.seed = seed;
   // Tight retry budget so the stalled op surfaces RetryExhausted well
   // before the outage ends (each attempt burns the store's 1.5s quorum
@@ -387,7 +370,7 @@ SeedOutcome run_dead_majority_scenario(uint64_t seed) {
   MusicWorld w(opt);
   EcfChecker checker(w.sim);
   checker.set_lenient_stale_grants(true);
-  fault::Nemesis nemesis(w.sim, w.net, world_hooks(w));
+  fault::Nemesis nemesis(w.sim, w.net, w.nemesis_hooks());
   SeedOutcome out;
   std::string err;
   auto sched = fault::Schedule::parse(
@@ -451,13 +434,13 @@ TEST(EcfFaultMatrix, DeadMajorityStallsWithoutFalseAcksThenHeals) {
 // ---- Gray-link soak --------------------------------------------------------
 
 SeedOutcome run_gray_link_scenario(uint64_t seed) {
-  WorldOptions opt;
+  world::Options opt = test::options();
   opt.seed = seed;
-  opt.clients_per_site = 2;
+  opt.client_sites = world::grouped_sites(2);
   MusicWorld w(opt);
   EcfChecker checker(w.sim);
   checker.set_lenient_stale_grants(true);
-  fault::Nemesis nemesis(w.sim, w.net, world_hooks(w));
+  fault::Nemesis nemesis(w.sim, w.net, w.nemesis_hooks());
   SeedOutcome out;
   std::string err;
   auto sched = fault::Schedule::parse(
@@ -511,13 +494,13 @@ TEST(EcfFaultMatrix, GrayLinkSoakHoldsEcf) {
 // ---- Stacked partitions ----------------------------------------------------
 
 SeedOutcome run_stacked_partition_scenario(uint64_t seed) {
-  WorldOptions opt;
+  world::Options opt = test::options();
   opt.seed = seed;
-  opt.clients_per_site = 2;
+  opt.client_sites = world::grouped_sites(2);
   MusicWorld w(opt);
   EcfChecker checker(w.sim);
   checker.set_lenient_stale_grants(true);
-  fault::Nemesis nemesis(w.sim, w.net, world_hooks(w));
+  fault::Nemesis nemesis(w.sim, w.net, w.nemesis_hooks());
   SeedOutcome out;
   std::string err;
   // The first two overlap from 4s to 6s, a window where every cross-site

@@ -15,12 +15,11 @@ namespace music {
 namespace {
 
 using test::MusicWorld;
-using test::WorldOptions;
 
 TEST(EndToEnd, MixedWorkloadAcrossAllLayersSurvivesFailures) {
-  WorldOptions opt;
+  world::Options opt = test::options();
   opt.seed = 2026;
-  opt.clients_per_site = 3;  // 9 clients
+  opt.client_sites = world::grouped_sites(3);  // 9 clients
   opt.music.holder_timeout = sim::sec(6);
   opt.music.fd_interval = sim::sec(1);
   MusicWorld w(opt);

@@ -11,7 +11,7 @@
 namespace music::ls {
 namespace {
 
-using test::StoreWorld;
+using test::MusicWorld;
 
 TEST(LockQueueCodec, RoundTrips) {
   LockQueue q;
@@ -39,7 +39,7 @@ TEST(LockQueueCodec, GarbageParsesToEmpty) {
 }
 
 TEST(LockStore, GeneratesUniqueIncreasingRefs) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     for (LockRef expect = 1; expect <= 5; ++expect) {
       auto r = co_await w.locks.generate_and_enqueue(
@@ -52,7 +52,7 @@ TEST(LockStore, GeneratesUniqueIncreasingRefs) {
 }
 
 TEST(LockStore, RefsArePerKey) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     auto a1 = co_await w.locks.generate_and_enqueue(w.store.replica(0), "a");
     auto b1 = co_await w.locks.generate_and_enqueue(w.store.replica(0), "b");
@@ -65,7 +65,7 @@ TEST(LockStore, RefsArePerKey) {
 }
 
 TEST(LockStore, QueueIsFifo) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     co_await w.locks.generate_and_enqueue(w.store.replica(0), "k");
     co_await w.locks.generate_and_enqueue(w.store.replica(1), "k");
@@ -82,7 +82,7 @@ TEST(LockStore, QueueIsFifo) {
 }
 
 TEST(LockStore, DequeueOfAbsentRefIsNoOp) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     co_await w.locks.generate_and_enqueue(w.store.replica(0), "k");
     auto st = co_await w.locks.dequeue(w.store.replica(0), "k", 999);
@@ -96,7 +96,7 @@ TEST(LockStore, DequeueOfAbsentRefIsNoOp) {
 TEST(LockStore, DequeueFromMiddlePreservesOthers) {
   // A worker that lost the race evicts its reference (removeLockReference,
   // §VII) without disturbing the queue order.
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     for (int i = 0; i < 3; ++i) {
       co_await w.locks.generate_and_enqueue(w.store.replica(0), "k");
@@ -115,7 +115,7 @@ TEST(LockStore, DequeueFromMiddlePreservesOthers) {
 }
 
 TEST(LockStore, LocalPeekIsCheapAndCanBeStale) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   sim::Time peek_cost = 0;
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     // Enqueue through site 2's coordinator; peek immediately at site 0.
@@ -137,7 +137,7 @@ TEST(LockStore, LocalPeekIsCheapAndCanBeStale) {
 }
 
 TEST(LockStore, GenerateCostsOneConsensusWrite) {
-  StoreWorld w;
+  MusicWorld w(test::store_options());
   sim::Time cost = 0;
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     sim::Time t0 = w.sim.now();
@@ -154,11 +154,11 @@ TEST(LockStore, GenerateCostsOneConsensusWrite) {
 class LockStoreContention : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(LockStoreContention, ConcurrentEnqueuesGetDistinctRefs) {
-  StoreWorld w(GetParam());
+  MusicWorld w(test::store_options(GetParam()));
   std::vector<LockRef> got;
   int finished = 0;
   for (int c = 0; c < 6; ++c) {
-    sim::spawn(w.sim, [](StoreWorld& world, int site, std::vector<LockRef>& out,
+    sim::spawn(w.sim, [](MusicWorld& world, int site, std::vector<LockRef>& out,
                          int& fin) -> sim::Task<void> {
       Result<LockRef> r = Result<LockRef>::Err(OpStatus::Timeout);
       while (!r.ok()) {

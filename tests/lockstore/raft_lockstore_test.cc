@@ -15,50 +15,19 @@ namespace {
 
 /// A MUSIC world whose lock store is Raft-backed (the data store stays on
 /// the quorum KV, exactly as the paper's architecture separates the two).
-struct RaftLockWorld {
-  sim::Simulation sim;
-  sim::Network net;
-  ds::StoreCluster store;
-  raftkv::RaftCluster raft;
-  RaftLockStore locks;
-  std::vector<std::unique_ptr<core::MusicReplica>> replicas;
-  std::vector<std::unique_ptr<core::MusicClient>> clients;
-  test::TaskRunner runner;
+world::Options raft_world() {
+  world::Options o = test::options();
+  o.locks = world::LockBackend::Raft;
+  return o;
+}
 
-  explicit RaftLockWorld(uint64_t seed = 1)
-      : sim(seed),
-        net(sim,
-            [] {
-              sim::NetworkConfig c;
-              c.profile = sim::LatencyProfile::profile_lus();
-              return c;
-            }()),
-        store(sim, net, ds::StoreConfig{}, {0, 1, 2}),
-        raft(sim, net, raftkv::RaftConfig{}, {0, 1, 2}),
-        locks(raft),
-        runner(sim) {
-    raft.start();
-    raft.wait_for_leader();
-    for (int site = 0; site < 3; ++site) {
-      replicas.push_back(std::make_unique<core::MusicReplica>(
-          store, locks, core::MusicConfig{}, site));
-    }
-    for (int site = 0; site < 3; ++site) {
-      std::vector<core::MusicReplica*> prefs{replicas[static_cast<size_t>(site)].get()};
-      for (int i = 0; i < 3; ++i) {
-        if (i != site) prefs.push_back(replicas[static_cast<size_t>(i)].get());
-      }
-      clients.push_back(std::make_unique<core::MusicClient>(
-          sim, net, prefs, core::ClientConfig{}, site));
-    }
-  }
-};
+using RaftLockWorld = test::MusicWorld;
 
 TEST(RaftLockStore, GeneratesUniqueIncreasingRefs) {
-  RaftLockWorld w;
+  RaftLockWorld w(raft_world());
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     for (LockRef expect = 1; expect <= 4; ++expect) {
-      auto r = co_await w.locks.backend_generate(static_cast<int>(expect) % 3, "k");
+      auto r = co_await w.raft_locks->backend_generate(static_cast<int>(expect) % 3, "k");
       CO_ASSERT_TRUE(r.ok());
       EXPECT_EQ(r.value(), expect);
     }
@@ -67,12 +36,12 @@ TEST(RaftLockStore, GeneratesUniqueIncreasingRefs) {
 }
 
 TEST(RaftLockStore, PeekIsLocalAndEventuallyConsistent) {
-  RaftLockWorld w;
+  RaftLockWorld w(raft_world());
   bool ok = w.runner.run([&]() -> sim::Task<void> {
-    co_await w.locks.backend_generate(0, "k");
+    co_await w.raft_locks->backend_generate(0, "k");
     co_await sim::sleep_for(w.sim, sim::sec(1));  // heartbeats carry commits
     sim::Time t0 = w.sim.now();
-    auto p = co_await w.locks.backend_peek(1, "k");
+    auto p = co_await w.raft_locks->backend_peek(1, "k");
     sim::Duration cost = w.sim.now() - t0;
     CO_ASSERT_TRUE(p.ok());
     EXPECT_EQ(p.value().head, 1);
@@ -82,13 +51,13 @@ TEST(RaftLockStore, PeekIsLocalAndEventuallyConsistent) {
 }
 
 TEST(RaftLockStore, DequeueAdvancesTheQueue) {
-  RaftLockWorld w;
+  RaftLockWorld w(raft_world());
   bool ok = w.runner.run([&]() -> sim::Task<void> {
-    co_await w.locks.backend_generate(0, "k");
-    co_await w.locks.backend_generate(1, "k");
-    co_await w.locks.backend_dequeue(0, "k", 1);
+    co_await w.raft_locks->backend_generate(0, "k");
+    co_await w.raft_locks->backend_generate(1, "k");
+    co_await w.raft_locks->backend_dequeue(0, "k", 1);
     co_await sim::sleep_for(w.sim, sim::sec(1));
-    auto p = co_await w.locks.backend_peek(2, "k");
+    auto p = co_await w.raft_locks->backend_peek(2, "k");
     CO_ASSERT_TRUE(p.ok());
     EXPECT_EQ(p.value().head, 2);
   });
@@ -99,17 +68,17 @@ TEST(RaftLockStore, GenerateIsCheaperThanLwt) {
   // §X-A1: LWTs need 4 RTTs; a Raft commit needs ~1 (plus reaching the
   // leader).  The Raft-backed createLockRef should be well under half the
   // LWT-backed one.
-  RaftLockWorld w;
+  RaftLockWorld w(raft_world());
   sim::Duration raft_cost = 0;
   bool ok = w.runner.run([&]() -> sim::Task<void> {
-    co_await w.locks.backend_generate(0, "warm");  // leader discovery
+    co_await w.raft_locks->backend_generate(0, "warm");  // leader discovery
     sim::Time t0 = w.sim.now();
-    co_await w.locks.backend_generate(0, "k");
+    co_await w.raft_locks->backend_generate(0, "k");
     raft_cost = w.sim.now() - t0;
   });
   ASSERT_TRUE(ok);
 
-  test::StoreWorld lwt_world;
+  test::MusicWorld lwt_world(test::store_options());
   sim::Duration lwt_cost = 0;
   bool ok2 = lwt_world.runner.run([&]() -> sim::Task<void> {
     sim::Time t0 = lwt_world.sim.now();
@@ -123,7 +92,7 @@ TEST(RaftLockStore, GenerateIsCheaperThanLwt) {
 }
 
 TEST(RaftLockStore, MusicRunsUnchangedOverTheRaftBackend) {
-  RaftLockWorld w;
+  RaftLockWorld w(raft_world());
   auto& c = *w.clients[0];
   bool ok = w.runner.run([&]() -> sim::Task<void> {
     for (int round = 0; round < 2; ++round) {
@@ -143,7 +112,7 @@ TEST(RaftLockStore, MusicRunsUnchangedOverTheRaftBackend) {
 }
 
 TEST(RaftLockStore, ContendingClientsSerializeFairly) {
-  RaftLockWorld w;
+  RaftLockWorld w(raft_world());
   std::vector<LockRef> grants;
   int done = 0;
   for (int i = 0; i < 3; ++i) {
@@ -169,12 +138,12 @@ TEST(RaftLockStore, ContendingClientsSerializeFairly) {
 }
 
 TEST(RaftLockStore, SurvivesRaftLeaderFailover) {
-  RaftLockWorld w;
+  RaftLockWorld w(raft_world());
   bool ok = w.runner.run([&]() -> sim::Task<void> {
-    auto r1 = co_await w.locks.backend_generate(0, "k");
+    auto r1 = co_await w.raft_locks->backend_generate(0, "k");
     CO_ASSERT_TRUE(r1.ok());
-    w.raft.leader()->set_down(true);
-    auto r2 = co_await w.locks.backend_generate(1, "k");
+    w.raft->leader()->set_down(true);
+    auto r2 = co_await w.raft_locks->backend_generate(1, "k");
     CO_ASSERT_TRUE(r2.ok());
     EXPECT_EQ(r2.value(), r1.value() + 1);
   }, sim::sec(300));

@@ -15,49 +15,21 @@
 namespace music::verify {
 namespace {
 
-struct RaftBackedWorld {
-  sim::Simulation sim;
-  sim::Network net;
-  ds::StoreCluster store;
-  raftkv::RaftCluster raft;
-  ls::RaftLockStore locks;
-  std::vector<std::unique_ptr<core::MusicReplica>> replicas;
-  std::vector<std::unique_ptr<core::MusicClient>> clients;
+/// Four clients round-robin over the sites, the lock queues on Raft.  No
+/// built-in failure detector here: preemptions must flow through the
+/// CheckedClient so the oracle can account for them; a janitor coroutine
+/// below plays the detector's role.
+world::Options raft_backed_world(uint64_t seed) {
+  world::Options o;
+  o.seed = seed;
+  o.locks = world::LockBackend::Raft;
+  o.music.holder_timeout = sim::sec(6);
+  o.music.fd_interval = sim::sec(1);
+  for (int i = 0; i < 4; ++i) o.client_sites.push_back(i % 3);
+  return o;
+}
 
-  explicit RaftBackedWorld(uint64_t seed)
-      : sim(seed),
-        net(sim,
-            [] {
-              sim::NetworkConfig c;
-              c.profile = sim::LatencyProfile::profile_lus();
-              return c;
-            }()),
-        store(sim, net, ds::StoreConfig{}, {0, 1, 2}),
-        raft(sim, net, raftkv::RaftConfig{}, {0, 1, 2}),
-        locks(raft) {
-    raft.start();
-    raft.wait_for_leader();
-    core::MusicConfig mc;
-    mc.holder_timeout = sim::sec(6);
-    mc.fd_interval = sim::sec(1);
-    for (int site = 0; site < 3; ++site) {
-      replicas.push_back(
-          std::make_unique<core::MusicReplica>(store, locks, mc, site));
-      // No built-in failure detector here: preemptions must flow through
-      // the CheckedClient so the oracle can account for them; a janitor
-      // coroutine below plays the detector's role.
-    }
-    for (int i = 0; i < 4; ++i) {
-      int site = i % 3;
-      std::vector<core::MusicReplica*> prefs{replicas[static_cast<size_t>(site)].get()};
-      for (int j = 0; j < 3; ++j) {
-        if (j != site) prefs.push_back(replicas[static_cast<size_t>(j)].get());
-      }
-      clients.push_back(std::make_unique<core::MusicClient>(
-          sim, net, prefs, core::ClientConfig{}, site));
-    }
-  }
-};
+using RaftBackedWorld = world::MusicWorld;
 
 sim::Task<void> raft_client_life(RaftBackedWorld& w, CheckedClient c, int id,
                                  sim::Time end, uint64_t seed) {
@@ -94,7 +66,7 @@ sim::Task<void> raft_client_life(RaftBackedWorld& w, CheckedClient c, int id,
 class RaftBackendProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RaftBackendProperty, EcfInvariantsHoldOverTheRaftLockStore) {
-  RaftBackedWorld w(GetParam());
+  RaftBackedWorld w(raft_backed_world(GetParam()));
   EcfChecker checker(w.sim);
   checker.set_lenient_stale_grants(true);
   sim::Time end = sim::sec(60);
@@ -112,7 +84,7 @@ TEST_P(RaftBackendProperty, EcfInvariantsHoldOverTheRaftLockStore) {
       co_await sim::sleep_for(world.sim, sim::sec(2));
       for (int k = 0; k < 2; ++k) {
         Key key = "key" + std::to_string(k);
-        auto p = co_await world.locks.backend_peek(0, key);
+        auto p = co_await world.raft_locks->backend_peek(0, key);
         if (!p.ok() || !p.value().head.has_value()) {
           seen.erase(key);
           continue;
@@ -135,9 +107,9 @@ TEST_P(RaftBackendProperty, EcfInvariantsHoldOverTheRaftLockStore) {
     // Avoid killing the raft leader (leader failover is covered elsewhere;
     // here the focus is MUSIC semantics under backend hiccups).
     for (int i = 0; i < 3; ++i) {
-      if (w.raft.node(i).role() != raftkv::Role::Leader) {
-        w.raft.node(i).set_down(true);
-        w.sim.schedule(sim::sec(4), [&, i] { w.raft.node(i).set_down(false); });
+      if (w.raft->node(i).role() != raftkv::Role::Leader) {
+        w.raft->node(i).set_down(true);
+        w.sim.schedule(sim::sec(4), [&, i] { w.raft->node(i).set_down(false); });
         break;
       }
     }
@@ -154,9 +126,9 @@ TEST(Determinism, IdenticalSeedsProduceIdenticalRuns) {
   // must be a pure function of the seed.  Two runs of a nontrivial scenario
   // must agree event-for-event.
   auto run = [](uint64_t seed) {
-    test::WorldOptions opt;
+    world::Options opt = test::options();
     opt.seed = seed;
-    opt.clients_per_site = 2;
+    opt.client_sites = world::grouped_sites(2);
     test::MusicWorld w(opt);
     int done = 0;
     for (int i = 0; i < 6; ++i) {

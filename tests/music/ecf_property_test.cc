@@ -23,7 +23,6 @@ namespace music::verify {
 namespace {
 
 using test::MusicWorld;
-using test::WorldOptions;
 
 constexpr int kKeys = 2;
 constexpr int kClients = 4;
@@ -135,9 +134,9 @@ sim::Task<void> defined_sampler(MusicWorld& w, EcfChecker& checker,
 class EcfProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(EcfProperty, InvariantsHoldUnderRandomizedFailures) {
-  WorldOptions opt;
+  world::Options opt = test::options();
   opt.seed = GetParam();
-  opt.clients_per_site = 2;  // 6 clients total; we use 4 + 1 chaos
+  opt.client_sites = world::grouped_sites(2);  // 6 clients total; we use 4 + 1 chaos
   MusicWorld w(opt);
   EcfChecker checker(w.sim);
   checker.set_lenient_stale_grants(true);
@@ -166,9 +165,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EcfProperty,
 class EcfFailureFree : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(EcfFailureFree, StrictInvariantsHoldWithoutFailures) {
-  WorldOptions opt;
+  world::Options opt = test::options();
   opt.seed = GetParam();
-  opt.clients_per_site = 2;
+  opt.client_sites = world::grouped_sites(2);
   MusicWorld w(opt);
   EcfChecker checker(w.sim);  // strict mode
 

@@ -37,7 +37,6 @@ namespace music::obs {
 namespace {
 
 using test::MusicWorld;
-using test::WorldOptions;
 
 uint64_t root_rtts(const Tracer& t, const char* name) {
   for (const Span& s : t.spans()) {
@@ -61,8 +60,8 @@ sim::Task<void> one_section(core::MusicClient& c) {
 // grant is one quorum read of the synchFlag; criticalPut (Quorum mode) and
 // criticalGet are one quorum round each.
 TEST(ObsCostModel, Xb4RoundTripsUnderLUsEu) {
-  WorldOptions opt;
-  opt.profile = sim::LatencyProfile::profile_luseu();
+  world::Options opt = test::options();
+  opt.net.profile = sim::LatencyProfile::profile_luseu();
   opt.net.jitter_frac = 0.0;  // deterministic latencies, same counts
   MusicWorld w(opt);
   Tracer tracer;
@@ -90,7 +89,7 @@ TEST(ObsCostModel, TracingDoesNotPerturbTheSimulation) {
     int64_t now;
   };
   auto run = [](bool traced) {
-    WorldOptions opt;
+    world::Options opt = test::options();
     opt.seed = 42;
     MusicWorld w(opt);
     Tracer tracer;
@@ -132,7 +131,7 @@ TEST(ObsCostModel, DisabledPathDoesNotAllocate) {
 // counts equals the messages attributable to client operations, and every
 // WAN message the tracer saw is in the network's WAN counter.
 TEST(ObsCostModel, SpanMessageCountsMatchNetworkCounters) {
-  WorldOptions opt;
+  world::Options opt = test::options();
   opt.net.jitter_frac = 0.0;
   MusicWorld w(opt);
   Tracer tracer;

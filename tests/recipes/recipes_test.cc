@@ -9,7 +9,6 @@ namespace music::recipes {
 namespace {
 
 using test::MusicWorld;
-using test::WorldOptions;
 
 TEST(AtomicCounter, AddAndGet) {
   MusicWorld w;
@@ -184,7 +183,7 @@ TEST(LeaderElection, SingleLeaderAtATime) {
 }
 
 TEST(LeaderElection, DeadLeaderIsSupersededViaFailureDetector) {
-  WorldOptions opt;
+  world::Options opt = test::options();
   opt.music.t_max_cs = sim::sec(6);  // leadership "lease": the T bound
   opt.music.fd_interval = sim::sec(1);
   MusicWorld w(opt);

@@ -11,7 +11,6 @@ namespace music::rest {
 namespace {
 
 using test::ClusterWorld;
-using test::ClusterWorldOptions;
 using test::MusicWorld;
 
 TEST(Rest, Listing1DrivenEntirelyByJson) {
@@ -246,9 +245,7 @@ TEST(RestCluster, StatusReportsDeploymentShapeForBothBindings) {
   });
   ASSERT_TRUE(ok);
 
-  ClusterWorldOptions opt;
-  opt.cluster.shards = 4;
-  ClusterWorld cw(opt);
+  ClusterWorld cw(test::cluster_options(), /*shards=*/4);
   RestGateway gw(cw.make_client(0));
   ok = cw.runner.run([&]() -> sim::Task<void> {
     auto r = co_await gw.handle_json(Json().set("op", "status"));
@@ -269,9 +266,7 @@ TEST(RestCluster, StatusReportsDeploymentShapeForBothBindings) {
 }
 
 TEST(RestCluster, Listing1FlowOverAShardedDeployment) {
-  ClusterWorldOptions opt;
-  opt.cluster.shards = 4;
-  ClusterWorld cw(opt);
+  ClusterWorld cw(test::cluster_options(), /*shards=*/4);
   RestGateway gw(cw.make_client(0));
   bool ok = cw.runner.run([&]() -> sim::Task<void> {
     auto created = Json::parse(co_await gw.handle(

@@ -80,7 +80,7 @@ sim::Task<void> client_loop(test::MusicWorld& w, verify::EcfChecker& checker,
                             int cid, Fnv& log) {
   verify::CheckedClient c(w.client(static_cast<size_t>(cid)), checker);
   // Built stepwise: GCC 12 mis-fires -Werror=restrict on literal +
-  // to_string rvalue concats (see bench/common.h).
+  // to_string rvalue concats (see world::CdbWorld).
   Key key = "g";
   key += std::to_string(cid % 3);  // 2 clients contend per key
   for (int round = 0; round < 4; ++round) {
@@ -117,10 +117,10 @@ struct RunOutcome {
 };
 
 RunOutcome run_scenario(uint64_t seed, const std::string& profile_name) {
-  test::WorldOptions opt;
+  world::Options opt = test::options();
   opt.seed = seed;
-  opt.profile = profile_by_name(profile_name);
-  opt.clients_per_site = 2;
+  opt.net.profile = profile_by_name(profile_name);
+  opt.client_sites = world::grouped_sites(2);
   test::MusicWorld w(opt);
   verify::EcfChecker checker(w.sim);
   Fnv history;

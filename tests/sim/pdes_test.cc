@@ -317,10 +317,10 @@ struct RunOutcome {
 };
 
 RunOutcome run_pdes_scenario(uint64_t seed, size_t workers) {
-  test::WorldOptions opt;
+  world::Options opt = test::options();
   opt.seed = seed;
-  opt.profile = sim::LatencyProfile::profile_luseu();
-  opt.clients_per_site = 2;
+  opt.net.profile = sim::LatencyProfile::profile_luseu();
+  opt.client_sites = world::grouped_sites(2);
   opt.pdes_workers = workers;
   test::MusicWorld w(opt);
   EXPECT_TRUE(w.sim.pdes());

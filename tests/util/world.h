@@ -1,19 +1,14 @@
-// Shared test fixtures: ready-made simulated deployments mirroring the
-// paper's (Fig. 1): a 3-site cluster with one store node per site, MUSIC
-// replicas at each site, and clients with site-local preference order.
+// Shared test helpers: the TaskRunner that drives coroutine tests, the
+// world (built by world/world.h) paired with one, and coroutine-safe
+// assertion macros.
 #pragma once
 
-#include <memory>
-#include <string>
+#include <cstdint>
 #include <utility>
-#include <vector>
 
-#include "core/client.h"
-#include "core/music.h"
-#include "datastore/store.h"
-#include "lockstore/lockstore.h"
-#include "sim/network.h"
 #include "sim/simulation.h"
+#include "sim/task.h"
+#include "world/world.h"
 
 namespace music::test {
 
@@ -40,114 +35,31 @@ class TaskRunner {
   sim::Simulation& sim_;
 };
 
-/// Options for building a MUSIC world.
-struct WorldOptions {
-  uint64_t seed = 1;
-  sim::LatencyProfile profile = sim::LatencyProfile::profile_lus();
-  int store_nodes = 3;  // interleaved across 3 sites
-  core::MusicConfig music{};
-  ds::StoreConfig store{};
-  sim::NetworkConfig net{};
-  core::ClientConfig client{};
-  int clients_per_site = 1;
-  /// > 0 switches the world to conservative PDES with this many site-lane
-  /// workers (lookahead derived from the profile) before the Network is
-  /// built.  0 = classic kernel; existing tests and goldens are unaffected.
-  /// PDES worlds draw from per-lane rng streams, so their results differ
-  /// from classic runs but are bit-identical at any worker count.
-  size_t pdes_workers = 0;
+/// world::Options with the fixtures' default: one client per site, in site
+/// order (client i at site i).
+inline world::Options options() {
+  world::Options o;
+  o.client_sites = {0, 1, 2};
+  return o;
+}
 
-  WorldOptions() { net.profile = profile; }
-};
+/// Options for store- and lock-store-level tests, which drive the stores
+/// directly: no clients.
+inline world::Options store_options(uint64_t seed = 1, int store_nodes = 3,
+                                    ds::StoreConfig store = {}) {
+  world::Options o;
+  o.seed = seed;
+  o.store_nodes = store_nodes;
+  o.store = store;
+  return o;
+}
 
-/// A complete MUSIC deployment: simulation, network, store cluster, lock
-/// store, one MUSIC replica per site, and clients.
-class MusicWorld {
- public:
-  explicit MusicWorld(WorldOptions opt = WorldOptions())
-      : options(std::move(opt)),
-        sim(options.seed),
-        net(sim, [this] {
-          auto n = options.net;
-          n.profile = options.profile;
-          // enable_pdes must precede Network construction (the net arms
-          // per-lane delivery state); this init-list lambda is the one spot
-          // between the two members.
-          if (options.pdes_workers > 0) {
-            sim::Simulation::PdesOptions po;
-            po.sites = n.profile.num_sites();
-            po.workers = options.pdes_workers;
-            po.lookahead = sim::Network::conservative_lookahead(n);
-            sim.enable_pdes(po);
-          }
-          return n;
-        }()),
-        store(sim, net, options.store, node_sites(options.store_nodes)),
-        locks(store),
-        runner(sim) {
-    for (int site = 0; site < 3; ++site) {
-      replicas.push_back(std::make_unique<core::MusicReplica>(
-          store, locks, options.music, site));
-    }
-    for (int site = 0; site < 3; ++site) {
-      for (int c = 0; c < options.clients_per_site; ++c) {
-        clients.push_back(std::make_unique<core::MusicClient>(
-            sim, net, prefs(site), options.client, site));
-      }
-    }
-  }
+/// A world::MusicWorld plus the TaskRunner its coroutine tests drive it
+/// with.
+struct MusicWorld : world::MusicWorld {
+  explicit MusicWorld(world::Options opt = test::options())
+      : world::MusicWorld(std::move(opt)), runner(sim) {}
 
-  /// Replica preference order for a client at `site` (local first).
-  std::vector<core::MusicReplica*> prefs(int site) {
-    std::vector<core::MusicReplica*> v{replicas[static_cast<size_t>(site)].get()};
-    for (int i = 0; i < 3; ++i) {
-      if (i != site) v.push_back(replicas[static_cast<size_t>(i)].get());
-    }
-    return v;
-  }
-
-  core::MusicClient& client(size_t i) { return *clients.at(i); }
-  core::MusicReplica& replica(int site) {
-    return *replicas.at(static_cast<size_t>(site));
-  }
-
-  static std::vector<int> node_sites(int n) {
-    std::vector<int> v;
-    v.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) v.push_back(i % 3);
-    return v;
-  }
-
-  WorldOptions options;
-  sim::Simulation sim;
-  sim::Network net;
-  ds::StoreCluster store;
-  ls::LockStore locks;
-  std::vector<std::unique_ptr<core::MusicReplica>> replicas;
-  std::vector<std::unique_ptr<core::MusicClient>> clients;
-  TaskRunner runner;
-};
-
-/// A store-only world (datastore/lockstore tests).
-class StoreWorld {
- public:
-  explicit StoreWorld(uint64_t seed = 1,
-                      sim::LatencyProfile profile = sim::LatencyProfile::profile_lus(),
-                      int nodes = 3, ds::StoreConfig cfg = ds::StoreConfig())
-      : sim(seed),
-        net(sim, [&] {
-          sim::NetworkConfig n;
-          n.profile = profile;
-          return n;
-        }()),
-        store(sim, net, cfg, MusicWorld::node_sites(nodes)),
-        locks(store),
-        runner(sim) {}
-
-  sim::Simulation sim;
-  sim::Network net;
-  ds::StoreCluster store;
-  ls::LockStore locks;
   TaskRunner runner;
 };
 

@@ -114,8 +114,8 @@ TEST(Driver, SequentialRunsExactOpCount) {
 }
 
 TEST(MusicCsWorkloadIntegration, RunsFullCriticalSections) {
-  test::WorldOptions opt;
-  opt.clients_per_site = 2;
+  world::Options opt = test::options();
+  opt.client_sites = world::grouped_sites(2);
   test::MusicWorld world(opt);
   std::vector<core::MusicClient*> clients;
   for (auto& c : world.clients) clients.push_back(c.get());

@@ -18,18 +18,15 @@
 #include <string>
 #include <vector>
 
-#include "core/client.h"
-#include "core/music.h"
 #include "fault/fault.h"
 #include "fault/nemesis.h"
-#include "lockstore/raft_lockstore.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "workload/driver.h"
 #include "workload/runners.h"
-#include "workload/chaos.h"
 #include "workload/ycsb.h"
+#include "world/world.h"
 
 using namespace music;
 
@@ -125,65 +122,23 @@ sim::LatencyProfile profile_by_name(const std::string& name) {
   return sim::LatencyProfile::profile_lus();
 }
 
-/// Everything a run needs, owning either lock backend.
-struct Deployment {
-  sim::Simulation s;
-  sim::Network net;
-  ds::StoreCluster store;
-  std::unique_ptr<raftkv::RaftCluster> raft;
-  std::unique_ptr<ls::LockBackend> locks;
-  std::vector<std::unique_ptr<core::MusicReplica>> replicas;
-  std::vector<std::unique_ptr<core::MusicClient>> clients;
-
-  explicit Deployment(const Options& o)
-      : s(o.seed),
-        net(s,
-            [&] {
-              sim::NetworkConfig c;
-              c.profile = profile_by_name(o.profile);
-              return c;
-            }()),
-        store(s, net, ds::StoreConfig{}, [&] {
-          std::vector<int> v;
-          for (int i = 0; i < o.nodes; ++i) v.push_back(i % 3);
-          return v;
-        }()) {
-    if (o.lock_backend == "raft") {
-      raft = std::make_unique<raftkv::RaftCluster>(s, net, raftkv::RaftConfig{},
-                                                   std::vector<int>{0, 1, 2});
-      raft->start();
-      raft->wait_for_leader();
-      locks = std::make_unique<ls::RaftLockStore>(*raft);
-    } else {
-      locks = std::make_unique<ls::LockStore>(store);
-    }
-    core::MusicConfig mc;
-    mc.put_mode = o.mode == "mscp" ? core::PutMode::Lwt : core::PutMode::Quorum;
-    mc.t_max_cs = sim::sec(3600);
-    mc.holder_timeout = sim::sec(8);
-    mc.fd_interval = sim::sec(2);
-    for (int site = 0; site < 3; ++site) {
-      replicas.push_back(
-          std::make_unique<core::MusicReplica>(store, *locks, mc, site));
-      replicas.back()->start_failure_detector();
-    }
-    for (int i = 0; i < o.clients; ++i) {
-      int site = i % 3;
-      std::vector<core::MusicReplica*> prefs{replicas[static_cast<size_t>(site)].get()};
-      for (int j = 0; j < 3; ++j) {
-        if (j != site) prefs.push_back(replicas[static_cast<size_t>(j)].get());
-      }
-      clients.push_back(std::make_unique<core::MusicClient>(
-          s, net, prefs, core::ClientConfig{}, site));
-    }
-  }
-
-  std::vector<core::MusicClient*> client_ptrs() {
-    std::vector<core::MusicClient*> v;
-    for (auto& c : clients) v.push_back(c.get());
-    return v;
-  }
-};
+/// The deployment a run drives: clients round-robin over the 3 sites.
+world::Options world_options(const Options& o) {
+  world::Options w;
+  w.seed = o.seed;
+  w.net.profile = profile_by_name(o.profile);
+  w.store_nodes = o.nodes;
+  w.locks = o.lock_backend == "raft" ? world::LockBackend::Raft
+                                     : world::LockBackend::Lwt;
+  w.music.put_mode =
+      o.mode == "mscp" ? core::PutMode::Lwt : core::PutMode::Quorum;
+  w.music.t_max_cs = sim::sec(3600);
+  w.music.holder_timeout = sim::sec(8);
+  w.music.fd_interval = sim::sec(2);
+  w.failure_detector = true;
+  for (int i = 0; i < o.clients; ++i) w.client_sites.push_back(i % 3);
+  return w;
+}
 
 }  // namespace
 
@@ -191,15 +146,20 @@ int main(int argc, char** argv) {
   Options o;
   if (!parse(argc, argv, o)) return 2;
 
-  Deployment d(o);
+  world::MusicWorld d(world_options(o));
   std::unique_ptr<obs::Tracer> tracer;
   obs::MetricsRegistry metrics;
   if (!o.trace_out.empty() || !o.metrics_out.empty()) {
     tracer = std::make_unique<obs::Tracer>();
     tracer->set_registry(&metrics);
-    d.s.set_tracer(tracer.get());
+    d.sim.set_tracer(tracer.get());
   }
+  // --nemesis and --chaos arm one nemesis: a crash the other schedule
+  // already holds down is skipped, not doubled.
   std::unique_ptr<fault::Nemesis> nemesis;
+  if (!o.nemesis.empty() || o.chaos) {
+    nemesis = std::make_unique<fault::Nemesis>(d.sim, d.net, d.nemesis_hooks());
+  }
   if (!o.nemesis.empty()) {
     std::string err;
     auto schedule = fault::Schedule::parse(o.nemesis, &err);
@@ -207,26 +167,16 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bad --nemesis script: %s\n", err.c_str());
       return 2;
     }
-    fault::NemesisHooks hooks;
-    hooks.crash_store = [&d](int r, bool down, bool amnesia) {
-      if (down && amnesia) d.store.replica(r).wipe_state();
-      d.store.replica(r).set_down(down);
-    };
-    hooks.crash_music = [&d](int r, bool down, bool amnesia) {
-      d.replicas.at(static_cast<size_t>(r))->set_down(down, amnesia);
-    };
-    nemesis = std::make_unique<fault::Nemesis>(d.s, d.net, std::move(hooks));
     nemesis->arm(*schedule);
     std::printf("nemesis schedule:\n%s", schedule->describe().c_str());
   }
-  std::unique_ptr<wl::ChaosInjector> chaos;
   if (o.chaos) {
-    std::vector<core::MusicReplica*> reps;
-    for (auto& r : d.replicas) reps.push_back(r.get());
-    wl::ChaosConfig cc;
-    cc.seed = o.seed * 31 + 5;
-    chaos = std::make_unique<wl::ChaosInjector>(d.store, reps, cc);
-    chaos->start(sim::sec(o.warmup_sec + o.measure_sec));
+    fault::Schedule chaos = fault::chaos_schedule(
+        o.seed * 31 + 5, 0, sim::sec(o.warmup_sec + o.measure_sec),
+        d.net.num_sites(), d.store.num_replicas(),
+        static_cast<int>(d.replicas.size()));
+    nemesis->arm(chaos);
+    std::printf("chaos schedule:\n%s", chaos.describe().c_str());
   }
 
   std::shared_ptr<wl::Workload> workload;
@@ -251,7 +201,7 @@ int main(int argc, char** argv) {
 
   wl::RunResult r;
   if (o.latency_mode) {
-    r = wl::run_sequential(d.s, workload, o.measure_sec,
+    r = wl::run_sequential(d.sim, workload, o.measure_sec,
                            sim::sec(o.measure_sec * 60));
     std::printf("latency over %llu ops: mean %.1f ms, p50 %.1f, p99 %.1f\n",
                 static_cast<unsigned long long>(r.completed),
@@ -262,7 +212,7 @@ int main(int argc, char** argv) {
     cfg.clients = o.clients;
     cfg.warmup = sim::sec(o.warmup_sec);
     cfg.measure = sim::sec(o.measure_sec);
-    r = wl::run_closed_loop(d.s, workload, cfg);
+    r = wl::run_closed_loop(d.sim, workload, cfg);
     std::printf("throughput: %.1f op/s (%.1f writes/s), mean latency %.1f ms, "
                 "p99 %.1f ms, completed=%llu failed=%llu\n",
                 r.throughput(), r.throughput() * o.batch,
@@ -277,13 +227,6 @@ int main(int argc, char** argv) {
                     ? 100.0 * static_cast<double>(ycsb->collisions()) /
                           static_cast<double>(ycsb->operations())
                     : 0.0);
-  }
-  if (chaos) {
-    std::printf("chaos injected: %llu store crashes, %llu music crashes, "
-                "%llu partitions\n",
-                static_cast<unsigned long long>(chaos->store_crashes_injected()),
-                static_cast<unsigned long long>(chaos->music_crashes_injected()),
-                static_cast<unsigned long long>(chaos->partitions_injected()));
   }
   core::ClientStats cstats;
   for (auto& c : d.clients) {
@@ -305,7 +248,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(nc.heals),
                 nemesis->open_faults());
   }
-  if (nemesis || chaos || cstats.retries != 0) {
+  if (nemesis || cstats.retries != 0) {
     std::printf("client retries: %llu attempts, %llu retried, %llu exhausted, "
                 "%llu past deadline, %llu replica demotions\n",
                 static_cast<unsigned long long>(cstats.attempts),
@@ -314,8 +257,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(cstats.deadline_exceeded),
                 static_cast<unsigned long long>(cstats.demotions));
   }
-  std::printf("simulated %.1f s in %llu events\n", sim::to_sec(d.s.now()),
-              static_cast<unsigned long long>(d.s.events_run()));
+  std::printf("simulated %.1f s in %llu events\n", sim::to_sec(d.sim.now()),
+              static_cast<unsigned long long>(d.sim.events_run()));
 
   if (tracer) {
     d.net.export_metrics(metrics);
@@ -325,8 +268,8 @@ int main(int argc, char** argv) {
     metrics.set("client.retry_exhausted", cstats.retry_exhausted);
     metrics.set("client.deadline_exceeded", cstats.deadline_exceeded);
     metrics.set("client.demotions", cstats.demotions);
-    metrics.set("sim.events_run", d.s.events_run());
-    metrics.set("sim.now_us", static_cast<uint64_t>(d.s.now()));
+    metrics.set("sim.events_run", d.sim.events_run());
+    metrics.set("sim.now_us", static_cast<uint64_t>(d.sim.now()));
     metrics.set("run.completed", r.completed);
     metrics.set("run.failed", r.failed);
     metrics.set("trace.spans", tracer->spans().size());
@@ -360,7 +303,7 @@ int main(int argc, char** argv) {
       std::printf("metrics: %s -> %s\n", csv ? "csv" : "json",
                   o.metrics_out.c_str());
     }
-    d.s.set_tracer(nullptr);
+    d.sim.set_tracer(nullptr);
     if (!ok) return 1;
   }
   return 0;
