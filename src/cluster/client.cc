@@ -9,17 +9,20 @@
 
 namespace music::cluster {
 
-Client::Client(Cluster& cluster, int site, verify::EcfChecker* checker,
-               ClientOptions opt)
+/// Route attempts per op before surfacing WrongShard to the caller.
+constexpr int kMaxRouteAttempts = 4096;
+/// Pause between route attempts (a frozen shard unfreezes in ~ms).
+constexpr sim::Duration kRouteBackoff = sim::ms(2);
+
+Client::Client(Cluster& cluster, int site, verify::EcfChecker* checker)
     : cluster_(cluster),
       sim_(cluster.simulation()),
       site_(site),
       checker_(checker),
-      opt_(opt),
       map_(cluster.snapshot()) {}
 
 sim::Task<RouteGrant> Client::admit_route(Key key) {
-  for (int attempt = 0; attempt < opt_.max_route_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxRouteAttempts; ++attempt) {
     int shard = map_->route(key);
     if (shard < 0) co_return RouteGrant();  // empty ring: unroutable
     Status gate = cluster_.admit(shard, map_->epoch());
@@ -43,7 +46,7 @@ sim::Task<RouteGrant> Client::admit_route(Key key) {
       map_ = cluster_.snapshot();
       stats_.map_refreshes += 1;
     }
-    co_await sim::sleep_for(sim_, opt_.route_backoff);
+    co_await sim::sleep_for(sim_, kRouteBackoff);
   }
   co_return RouteGrant();
 }
@@ -71,8 +74,10 @@ sim::Task<Status> Client::acquire_lock_blocking(Key key, LockRef ref) {
   // resume polling against the destination group, where the copied !lq
   // row still carries their queue entry.
   sim::OpSpan span(sim_, "cluster.acquire", site_, -1, key);
+  // Poll budget and backoff are the group clients' (core::ClientConfig).
+  const core::ClientConfig& cfg = cluster_.config().client;
   OpStatus last = OpStatus::Timeout;
-  for (int poll = 0; poll < opt_.max_poll_attempts; ++poll) {
+  for (int poll = 0; poll < cfg.max_poll_attempts; ++poll) {
     RouteGrant g = co_await admit_route(key);
     if (!g.ok()) co_return Status::Err(OpStatus::WrongShard);
     Status st = co_await g.client->acquire_lock(key, ref);
@@ -87,7 +92,7 @@ sim::Task<Status> Client::acquire_lock_blocking(Key key, LockRef ref) {
     if (!is_retryable(last) && last != OpStatus::NotYetHolder) {
       co_return st;
     }
-    co_await sim::sleep_for(sim_, opt_.poll_backoff);
+    co_await sim::sleep_for(sim_, cfg.poll_backoff);
   }
   co_return Status::Err(last == OpStatus::NotYetHolder ? OpStatus::Timeout
                                                        : last);

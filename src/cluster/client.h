@@ -35,17 +35,6 @@
 
 namespace music::cluster {
 
-struct ClientOptions {
-  /// Route attempts per op before surfacing WrongShard to the caller.
-  int max_route_attempts = 4096;
-  /// Pause between route attempts (a frozen shard unfreezes in ~ms).
-  sim::Duration route_backoff = sim::ms(2);
-  /// Polls allowed for one acquire_lock_blocking loop.
-  int max_poll_attempts = 4096;
-  /// Pause between acquireLock polls.
-  sim::Duration poll_backoff = sim::ms(2);
-};
-
 struct ClusterClientStats {
   uint64_t routed_ops = 0;          // ops dispatched through the gate
   uint64_t wrong_shard_retries = 0; // WrongShard bounces re-routed
@@ -70,8 +59,7 @@ class Client : public api::ClientApi {
   /// is reported (the cluster-layer CheckedClient; instrumentation points
   /// mirror verify::CheckedClient exactly).
   explicit Client(Cluster& cluster, int site,
-                  verify::EcfChecker* checker = nullptr,
-                  ClientOptions opt = {});
+                  verify::EcfChecker* checker = nullptr);
 
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
@@ -125,7 +113,6 @@ class Client : public api::ClientApi {
   sim::Simulation& sim_;
   int site_;
   verify::EcfChecker* checker_;
-  ClientOptions opt_;
   std::shared_ptr<const ShardMap> map_;
   ClusterClientStats stats_;
 };

@@ -212,6 +212,7 @@ class MusicReplica {
   /// Reports the failure detector's successful forced releases to
   /// `observer` (nullptr: to nobody).
   void set_observer(LockObserver* observer) { observer_ = observer; }
+  LockObserver* observer() const { return observer_; }
 
   /// Registers a key for failure-detector scanning.
   void watch_key(const Key& key);

@@ -72,10 +72,6 @@ struct RunOptions {
 /// nemesis can crash (music/mscp).  Empty string = valid.
 std::string validate(const ScenarioSpec& spec);
 
-/// The named WAN profile a spec's topology refers to ("11", "lUs",
-/// "lUsEu", or "local" — a fast co-located profile for unit tests).
-sim::LatencyProfile profile_by_name(const std::string& name);
-
 /// Builds and runs one cell's world, oracle armed.  Never throws: setup
 /// problems come back as ok=false with the error filled.  `par_sites` > 0
 /// runs music/mscp cells under PDES (see RunOptions::par_sites).

@@ -1,10 +1,9 @@
 #include "scenario/spec.h"
 
-#include <cctype>
-#include <charconv>
 #include <cstdio>
 #include <utility>
 
+#include "common/text.h"
 #include "fault/fault.h"
 
 namespace music::scn {
@@ -17,64 +16,17 @@ struct Tok {
   int col = 1;  // 1-based column within the line
 };
 
+using text::parse_num;
+using text::parse_time;
+using text::time_str;
+
 /// Splits one (comment-stripped) line on whitespace, keeping columns.
 std::vector<Tok> tokenize_line(std::string_view line) {
   std::vector<Tok> toks;
-  size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[i]))) {
-      ++i;
-    }
-    size_t start = i;
-    while (i < line.size() &&
-           !std::isspace(static_cast<unsigned char>(line[i]))) {
-      ++i;
-    }
-    if (i > start) {
-      toks.push_back({line.substr(start, i - start),
-                      static_cast<int>(start) + 1});
-    }
+  for (std::string_view t : text::tokenize(line)) {
+    toks.push_back({t, static_cast<int>(t.data() - line.data()) + 1});
   }
   return toks;
-}
-
-bool parse_double(std::string_view s, double* out) {
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return ec == std::errc() && ptr == s.data() + s.size();
-}
-
-bool parse_i64(std::string_view s, int64_t* out) {
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return ec == std::errc() && ptr == s.data() + s.size();
-}
-
-/// "2s" / "150ms" / "300us" -> Duration (microseconds).
-bool parse_time(std::string_view s, sim::Duration* out) {
-  sim::Duration unit;
-  std::string_view num;
-  if (s.size() > 2 && s.substr(s.size() - 2) == "ms") {
-    unit = sim::ms(1);
-    num = s.substr(0, s.size() - 2);
-  } else if (s.size() > 2 && s.substr(s.size() - 2) == "us") {
-    unit = 1;
-    num = s.substr(0, s.size() - 2);
-  } else if (s.size() > 1 && s.back() == 's') {
-    unit = sim::sec(1);
-    num = s.substr(0, s.size() - 1);
-  } else {
-    return false;
-  }
-  double v;
-  if (!parse_double(num, &v) || v < 0) return false;
-  *out = static_cast<sim::Duration>(v * static_cast<double>(unit));
-  return true;
-}
-
-std::string time_str(sim::Duration d) {
-  if (d % sim::sec(1) == 0) return std::to_string(d / sim::sec(1)) + "s";
-  if (d % sim::ms(1) == 0) return std::to_string(d / sim::ms(1)) + "ms";
-  return std::to_string(d) + "us";
 }
 
 std::string float_str(double v) {
@@ -150,7 +102,7 @@ bool want_values(Parser& p, const Line& l, size_t n) {
 
 bool read_int(Parser& p, const Line& l, size_t i, int64_t lo, int64_t hi,
               int64_t* out) {
-  if (!parse_i64(l.val(i).text, out) || *out < lo || *out > hi) {
+  if (!parse_num(l.val(i).text, out) || *out < lo || *out > hi) {
     return p.fail_tok(l.number, l.val(i),
                       "bad integer \"" + std::string(l.val(i).text) +
                           "\" (want " + std::to_string(lo) + ".." +
@@ -208,7 +160,7 @@ bool apply_topology(Parser& p, const Line& l, TopologyBlock* t) {
     t->shards.clear();
     for (auto part : parts) {
       int64_t v;
-      if (!parse_i64(part, &v) || v < 1 || v > 1024) {
+      if (!parse_num(part, &v) || v < 1 || v > 1024) {
         return p.fail_tok(l.number, l.val(),
                           "bad shard count \"" + std::string(part) +
                               "\" (want 1..1024)");
@@ -249,7 +201,7 @@ bool apply_workload(Parser& p, const Line& l, WorkloadBlock* w) {
     w->mixes.clear();
     for (auto part : parts) {
       double v;
-      if (!parse_double(part, &v) || v < 0.0 || v > 1.0) {
+      if (!parse_num(part, &v) || v < 0.0 || v > 1.0) {
         return p.fail_tok(l.number, l.val(),
                           "bad read fraction \"" + std::string(part) +
                               "\" (want 0..1)");
@@ -267,7 +219,7 @@ bool apply_workload(Parser& p, const Line& l, WorkloadBlock* w) {
     w->clients.clear();
     for (auto part : parts) {
       int64_t v;
-      if (!parse_i64(part, &v) || v < 1 || v > 100000) {
+      if (!parse_num(part, &v) || v < 1 || v > 100000) {
         return p.fail_tok(l.number, l.val(),
                           "bad client count \"" + std::string(part) + "\"");
       }
@@ -286,7 +238,7 @@ bool apply_workload(Parser& p, const Line& l, WorkloadBlock* w) {
     int64_t sum = 0;
     for (auto part : parts) {
       int64_t v;
-      if (!parse_i64(part, &v) || v < 0) {
+      if (!parse_num(part, &v) || v < 0) {
         return p.fail_tok(l.number, l.val(),
                           "bad placement weight \"" + std::string(part) + "\"");
       }
@@ -325,7 +277,7 @@ bool apply_workload(Parser& p, const Line& l, WorkloadBlock* w) {
       w->keying = Keying::Zipfian;
       if (l.values() == 2) {
         double theta;
-        if (!parse_double(l.val(1).text, &theta) || theta <= 0.0 ||
+        if (!parse_num(l.val(1).text, &theta) || theta <= 0.0 ||
             theta >= 1.0) {
           return p.fail_tok(l.number, l.val(1),
                             "bad zipfian theta (want 0 < theta < 1)");
@@ -350,7 +302,7 @@ bool apply_workload(Parser& p, const Line& l, WorkloadBlock* w) {
     }
     if (kind == "poisson" && l.values() == 2) {
       double rate;
-      if (!parse_double(l.val(1).text, &rate) || rate <= 0.0) {
+      if (!parse_num(l.val(1).text, &rate) || rate <= 0.0) {
         return p.fail_tok(l.number, l.val(1), "bad poisson rate (want > 0)");
       }
       w->arrival = Arrival{};
@@ -362,14 +314,14 @@ bool apply_workload(Parser& p, const Line& l, WorkloadBlock* w) {
         l.val(2).text == "period" && l.val(4).text == "low") {
       Arrival a;
       a.kind = ArrivalKind::Diurnal;
-      if (!parse_double(l.val(1).text, &a.rate) || a.rate <= 0.0) {
+      if (!parse_num(l.val(1).text, &a.rate) || a.rate <= 0.0) {
         return p.fail_tok(l.number, l.val(1), "bad diurnal rate (want > 0)");
       }
       if (!read_time(p, l, 3, &a.period)) return false;
       if (a.period <= 0) {
         return p.fail_tok(l.number, l.val(3), "diurnal period must be > 0");
       }
-      if (!parse_double(l.val(5).text, &a.low) || a.low < 0.0 || a.low > 1.0) {
+      if (!parse_num(l.val(5).text, &a.low) || a.low < 0.0 || a.low > 1.0) {
         return p.fail_tok(l.number, l.val(5),
                           "bad diurnal low fraction (want 0..1)");
       }

@@ -80,6 +80,13 @@ LatencyProfile LatencyProfile::uniform(int sites, double rtt_ms_val,
   return from_pairs("uniform", sites, pairs, local_ms);
 }
 
+LatencyProfile LatencyProfile::by_name(std::string_view name) {
+  if (name == "11") return profile_11();
+  if (name == "lUsEu") return profile_luseu();
+  if (name == "local") return uniform(3, 1.0, 0.2);
+  return profile_lus();
+}
+
 Network::Network(Simulation& sim, NetworkConfig cfg)
     : sim_(sim), cfg_(std::move(cfg)), rng_(sim.rng().fork(0x6e657477ull)) {
   auto n = static_cast<size_t>(num_sites());

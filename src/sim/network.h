@@ -13,6 +13,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -113,6 +114,8 @@ struct LatencyProfile {
   /// the given intra/inter RTT.
   static LatencyProfile uniform(int sites, double rtt_ms_val,
                                 double local_ms = 0.2);
+  /// By name: "11", "lUsEu", "local" (3 sites, 1 ms RTT), else "lUs".
+  static LatencyProfile by_name(std::string_view name);
 };
 
 /// Tunables for the network beyond the latency profile.

@@ -34,9 +34,9 @@ sim::Task<void> delayed_move(ClusterWorld* w, int shard, int to,
 /// copies rows (move rounds retry transient failures until it heals).
 sim::Task<void> fault_window(ClusterWorld* w, int g) {
   co_await sim::sleep_for(w->sim, sim::ms(20));
-  w->cluster.set_down_store(g, 0, true, /*amnesia=*/false);
+  w->cluster.group(g).crash_store(0, true, /*amnesia=*/false);
   co_await sim::sleep_for(w->sim, sim::ms(250));
-  w->cluster.set_down_store(g, 0, false, /*amnesia=*/false);
+  w->cluster.group(g).crash_store(0, false, /*amnesia=*/false);
 }
 
 /// Statuses an op may legally end with while the shard is in flight.

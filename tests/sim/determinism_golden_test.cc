@@ -69,11 +69,6 @@ constexpr Golden kGoldens[] = {
     {4, "lUs", 9566, 0x8eaf244af95809cdull},
 };
 
-sim::LatencyProfile profile_by_name(const std::string& name) {
-  return name == "11" ? sim::LatencyProfile::profile_11()
-                      : sim::LatencyProfile::profile_lus();
-}
-
 /// One checked client's life: contended critical sections on a shared key,
 /// every observable transition appended to the shared history log.
 sim::Task<void> client_loop(test::MusicWorld& w, verify::EcfChecker& checker,
@@ -119,7 +114,7 @@ struct RunOutcome {
 RunOutcome run_scenario(uint64_t seed, const std::string& profile_name) {
   world::Options opt = test::options();
   opt.seed = seed;
-  opt.net.profile = profile_by_name(profile_name);
+  opt.net.profile = sim::LatencyProfile::by_name(profile_name);
   opt.client_sites = world::grouped_sites(2);
   test::MusicWorld w(opt);
   verify::EcfChecker checker(w.sim);

@@ -148,10 +148,15 @@ def main():
             p.send_signal(signal.SIGTERM)
         for p in procs:
             expect(p.wait(timeout=10) == 0, f"pid {p.pid} exited 0")
-        for log in logs:
+        for site, log in enumerate(logs):
             log.seek(0)
-            expect(b"clean shutdown" in log.read(),
-                   f"{os.path.basename(log.name)} logged clean shutdown")
+            text = log.read()
+            name = os.path.basename(log.name)
+            expect(b"clean shutdown" in text, f"{name} logged clean shutdown")
+            if site < 3:  # every musicd builds the same group: same node ids
+                expect(f"store node {site} on ".encode() in text and
+                       f"music node {3 + site} on ".encode() in text,
+                       f"{name}: store node {site}, music node {3 + site}")
         print("PASS")
         return 0
     except Exception as e:  # noqa: BLE001 - top-level diagnostic

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/text.h"
 #include "core/client.h"
 #include "net/event_loop.h"
 #include "net/http.h"
@@ -37,20 +38,6 @@ music::net::EventLoop* g_loop = nullptr;
 
 void on_signal(int) {
   if (g_loop != nullptr) g_loop->stop();
-}
-
-std::vector<uint16_t> parse_ports(const char* arg) {
-  std::vector<uint16_t> ports;
-  std::string s(arg);
-  size_t pos = 0;
-  while (pos <= s.size()) {
-    size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    ports.push_back(static_cast<uint16_t>(
-        strtoul(s.substr(pos, comma - pos).c_str(), nullptr, 10)));
-    pos = comma + 1;
-  }
-  return ports;
 }
 
 /// One REST request end-to-end (a named free coroutine: spawned frames must
@@ -121,7 +108,7 @@ int main(int argc, char** argv) {
   std::string host = "127.0.0.1";
   for (int i = 1; i < argc - 1; ++i) {
     if (strcmp(argv[i], "--music-ports") == 0)
-      music_ports = parse_ports(argv[++i]);
+      music_ports = music::text::parse_ports(argv[++i]);
     else if (strcmp(argv[i], "--port") == 0)
       http_port = static_cast<uint16_t>(atoi(argv[++i]));
     else if (strcmp(argv[i], "--site") == 0) site = atoi(argv[++i]);
