@@ -165,6 +165,11 @@ class Schedule {
   std::vector<FaultSpec> specs_;
 };
 
+/// Why `f` names a replica or site a MUSIC group does not have: a store
+/// replica outside 0..store_nodes-1, a MUSIC replica or restarted site
+/// outside 0..2.  "" when it names none (or is not a crash/restart).
+std::string group_target_error(const FaultSpec& f, int store_nodes);
+
 /// The randomized §III failure model as a schedule (the CLI's --chaos):
 /// after a 5-15 s gap, one fault for 0.5-4 s — a store-replica crash, a
 /// MUSIC-replica crash (only when `music_replicas` > 0) or one site
